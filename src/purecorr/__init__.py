@@ -6,7 +6,6 @@ from .correlation import (
     WITNESS_TOL,
     CorrelationOperator,
     CorrelationWitness,
-    Observable,
     OperatorSchmidt,
     SamplingResult,
     brute_force_max_covariance,
@@ -54,6 +53,7 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     Ensemble,
+    Observable,
     PureState,
     example_source_state,
     from_pure,

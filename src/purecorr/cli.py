@@ -15,16 +15,14 @@ import numpy as np
 
 from .correlation import (
     FACTORABLE_TOL,
-    Observable,
     chi_square_goodness,
-    correlation_operator,
     named_observable,
     sample_measurements,
     synthesize_witness,
     to_projective,
     verify_witness_criterion,
 )
-from .linalg import DimPair, hermitian_eig, multi_partial_trace
+from .linalg import DimPair, hermitian_eig
 from .purification import (
     apply_ancilla_unitary,
     cut_entanglement,
@@ -32,17 +30,11 @@ from .purification import (
     entanglement_campaign,
     purify,
 )
-from .states import (
-    BipartiteState,
-    DensityMatrix,
-    GENERATOR_NAME,
-    PureState,
-    random_unitary,
-)
+from .states import GENERATOR_NAME, Observable, random_unitary
 from .stateio import (
-    StateFileContent,
     StateFileError,
     complex_array_to_pairs,
+    content_to_bipartite,
     emit_state_file,
     parse_content,
     parse_observable_file,
@@ -56,42 +48,6 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _bipartite_from_content(
-    content: StateFileContent, trace_out: str | None
-) -> BipartiteState:
-    """Reduce parsed file content to a bipartite density matrix."""
-    if content.kind == "observable":
-        raise StateFileError("expected a density or pure state file, found an observable")
-    if content.kind == "pure":
-        psi = PureState(content.array, tuple(zip(content.labels, content.dims)))
-        matrix = psi.density()
-    else:
-        matrix = content.array
-    dims = list(content.dims)
-    labels = list(content.labels)
-    if trace_out:
-        drop = [s.strip() for s in trace_out.split(",") if s.strip()]
-        unknown = sorted(set(drop) - set(labels))
-        if unknown:
-            raise StateFileError(
-                f"labels {unknown} not in state factors {labels}"
-            )
-        keep = [i for i, lab in enumerate(labels) if lab not in drop]
-        if not keep:
-            raise StateFileError("cannot trace out every factor")
-        if len(keep) < len(labels):
-            matrix = multi_partial_trace(matrix, dims, keep)
-            dims = [dims[i] for i in keep]
-            labels = [labels[i] for i in keep]
-    if len(dims) == 1:
-        return BipartiteState(DensityMatrix(matrix), DimPair(dims[0], 1))
-    if len(dims) == 2:
-        return BipartiteState(DensityMatrix(matrix), DimPair(*dims))
-    raise StateFileError(
-        f"state has {len(dims)} factors {labels}; use --trace-out to reduce to two"
-    )
 
 
 def _load_observable(name_or_path: str, dim: int) -> Observable:
@@ -128,13 +84,12 @@ def _projective_payload(obs: Observable) -> list[dict]:
 
 
 def cmd_analyze(ns) -> int:
-    content = parse_content(_read(ns.state_file))
-    rho = _bipartite_from_content(content, ns.trace_out)
-    delta = correlation_operator(rho)
+    rho = content_to_bipartite(parse_content(_read(ns.state_file)), ns.trace_out)
     witness = synthesize_witness(rho)
+    delta = witness.correlation
     factorable = delta.frobenius_norm <= ns.tol
-    eig_a = hermitian_eig(rho.marginal("A").matrix).eigenvalues
-    eig_b = hermitian_eig(rho.marginal("B").matrix).eigenvalues
+    eig_a = hermitian_eig(delta.rho_a).eigenvalues
+    eig_b = hermitian_eig(delta.rho_b).eigenvalues
 
     payload = {
         "dims": [rho.dims.da, rho.dims.db],
@@ -178,8 +133,7 @@ def cmd_purify(ns) -> int:
     content = parse_content(_read(ns.state_file))
     if content.kind != "density":
         raise StateFileError("purify expects a density state file")
-    rho = _bipartite_from_content(content, None)
-    p = purify(rho)
+    p = purify(content_to_bipartite(content))
     if ns.ancilla_dims:
         try:
             c1, c2 = (int(x) for x in ns.ancilla_dims.split(","))
@@ -262,8 +216,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_sample(ns) -> int:
-    content = parse_content(_read(ns.state_file))
-    rho = _bipartite_from_content(content, ns.trace_out)
+    rho = content_to_bipartite(parse_content(_read(ns.state_file)), ns.trace_out)
     obs_a = _load_observable(ns.obs_a, rho.dims.da)
     obs_b = _load_observable(ns.obs_b, rho.dims.db)
     result = sample_measurements(rho, obs_a, obs_b, ns.trials, ns.seed)

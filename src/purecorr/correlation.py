@@ -25,19 +25,24 @@ from .linalg import (
     hermitian_basis,
     hermitian_eig,
     operator_to_coefficient_matrix,
-    require_hermitian,
+    partial_trace,
     svd,
     tensor_product,
 )
 from .reports import TheoremReport
-from .states import BipartiteState, random_density, random_product_state
+from .states import (
+    BipartiteState,
+    Observable,
+    _trusted,
+    random_density,
+    random_product_state,
+)
 
 __all__ = [
     "FACTORABLE_TOL",
     "WITNESS_TOL",
     "OUTCOME_GROUP_TOL",
     "IMAG_TOL",
-    "Observable",
     "CorrelationOperator",
     "OperatorSchmidt",
     "CorrelationWitness",
@@ -65,6 +70,10 @@ WITNESS_TOL = 1e-7
 OUTCOME_GROUP_TOL = 1e-8
 #: Largest imaginary residue tolerated on nominally real traces.
 IMAG_TOL = 1e-10
+# Schmidt coefficients within this fraction of the top one tie with it.  It
+# is relative with no floor, so a state near the factorable boundary (top
+# coefficient far below 1) still has a unique top pair.
+_WITNESS_TIE_TOL = 1e-9
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -72,25 +81,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """A Hermitian matrix whose eigenvalues label measurement outcomes."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("observable entries must be finite")
-        require_hermitian(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def named_observable(name: str, dim: int = 2) -> Observable:
@@ -107,25 +97,17 @@ def named_observable(name: str, dim: int = 2) -> Observable:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationOperator:
-    """Delta = rho - rho_A (x) rho_B: traceless, Hermitian, zero iff factorable."""
+    """Delta = rho - rho_A (x) rho_B: traceless, Hermitian, zero iff factorable.
+
+    Carries the two marginals it was built from, so that callers needing
+    ``rho_A`` or ``rho_B`` do not trace the state again.
+    """
 
     delta: np.ndarray
     dims: DimPair
     frobenius_norm: float
-
-    def __post_init__(self):
-        d = np.array(self.delta, dtype=np.complex128)
-        dims = DimPair(*self.dims)
-        if d.shape != (dims.total, dims.total):
-            raise ValueError(f"delta shape {d.shape} does not match dims {dims}")
-        require_hermitian(d)
-        tr = complex(np.trace(d))
-        if abs(tr) > 1e-10:
-            raise ValueError(f"delta must be traceless, got trace {tr:.3e}")
-        d.flags.writeable = False
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "frobenius_norm", float(self.frobenius_norm))
+    rho_a: np.ndarray
+    rho_b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +127,16 @@ class OperatorSchmidt:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationWitness:
-    """The observable pair achieving the maximal covariance on a state."""
+    """The observable pair achieving the maximal covariance on a state.
+
+    ``correlation`` is the correlation operator the pair was read from.
+    """
 
     e: Observable
     f: Observable
     covariance: float
     sigma1: float
+    correlation: CorrelationOperator
 
 
 def _real_trace(value: complex, what: str) -> float:
@@ -184,9 +170,17 @@ def correlated(
 
 def correlation_operator(rho: BipartiteState) -> CorrelationOperator:
     """Difference between the state and the product of its marginals."""
-    product = tensor_product(rho.marginal("A").matrix, rho.marginal("B").matrix)
-    delta = rho.matrix - product
-    return CorrelationOperator(delta, rho.dims, float(np.linalg.norm(delta)))
+    rho_a = partial_trace(rho.matrix, rho.dims, "A")
+    rho_b = partial_trace(rho.matrix, rho.dims, "B")
+    delta = rho.matrix - tensor_product(rho_a, rho_b)
+    return _trusted(
+        CorrelationOperator,
+        delta=delta,
+        dims=rho.dims,
+        frobenius_norm=float(np.linalg.norm(delta)),
+        rho_a=rho_a,
+        rho_b=rho_b,
+    )
 
 
 def is_factorable(rho: BipartiteState, tol: float = FACTORABLE_TOL) -> bool:
@@ -219,8 +213,8 @@ def operator_schmidt(delta: CorrelationOperator) -> OperatorSchmidt:
     mats_b = np.einsum("nk,nij->kij", coords_b, basis_b)
     return OperatorSchmidt(
         coefficients=sd.singular_values,
-        ops_a=tuple(Observable(m) for m in mats_a),
-        ops_b=tuple(Observable(m) for m in mats_b),
+        ops_a=tuple(_trusted(Observable, matrix=m) for m in mats_a),
+        ops_b=tuple(_trusted(Observable, matrix=m) for m in mats_b),
         coords_a=coords_a,
         coords_b=coords_b,
     )
@@ -230,24 +224,26 @@ def synthesize_witness(rho: BipartiteState) -> CorrelationWitness:
     """Observable pair with maximal covariance among unit Hilbert-Schmidt pairs.
 
     Takes the top operator-Schmidt pair of the correlation operator; the
-    achieved covariance equals the top coefficient.  Both are zero exactly
-    when the state is factorable.  When the top coefficient is degenerate
-    (within 1e-9) the pair with the lexicographically largest coordinate
-    vector is chosen, and signs are fixed so the covariance is nonnegative.
+    achieved covariance Tr(Delta (E (x) F)) equals the top coefficient.  Both
+    are zero exactly when the state is factorable.  When the top coefficient
+    is degenerate (within a relative 1e-9) the pair with the
+    lexicographically largest coordinate vector is chosen, and signs are
+    fixed so the covariance is nonnegative.
     """
-    schmidt = operator_schmidt(correlation_operator(rho))
+    corr = correlation_operator(rho)
+    schmidt = operator_schmidt(corr)
     s = schmidt.coefficients
     idx = 0
-    if s.size > 1:
-        tied = np.flatnonzero(s[0] - s <= 1e-9)
-        if tied.size > 1:
-            idx = max(tied, key=lambda j: _lex_key(schmidt.coords_a[:, j]))
+    tied = np.flatnonzero(s[0] - s <= _WITNESS_TIE_TOL * s[0])
+    if tied.size > 1:
+        idx = max(tied, key=lambda j: _lex_key(schmidt.coords_a[:, j]))
     e, f = schmidt.ops_a[idx], schmidt.ops_b[idx]
-    cov = covariance(rho, e, f)
+    pairing = np.trace(corr.delta @ tensor_product(e.matrix, f.matrix))
+    cov = _real_trace(complex(pairing), "covariance")
     if cov < 0:
-        e = Observable(-e.matrix)
+        e = _trusted(Observable, matrix=-e.matrix)
         cov = -cov
-    return CorrelationWitness(e, f, float(cov), float(s[0]))
+    return CorrelationWitness(e, f, cov, float(s[0]), corr)
 
 
 def _unit_hermitian_batch(
@@ -462,7 +458,7 @@ def verify_witness_criterion(
     def check(rho: BipartiteState, kind: str, index: int) -> None:
         nonlocal min_cov_nonfactorable, max_cov_factorable
         witness = synthesize_witness(rho)
-        norm = correlation_operator(rho).frobenius_norm
+        norm = witness.correlation.frobenius_norm
         factorable = norm <= factorable_tol
         significant = abs(witness.covariance) > witness_tol
         if factorable:

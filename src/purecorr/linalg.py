@@ -19,8 +19,6 @@ __all__ = [
     "EigDecomposition",
     "SvdDecomposition",
     "HERMITIAN_TOL",
-    "RECONSTRUCTION_TOL",
-    "BASIS_TOL",
     "tensor_product",
     "partial_trace",
     "multi_partial_trace",
@@ -29,16 +27,11 @@ __all__ = [
     "hermitian_basis",
     "operator_to_coefficient_matrix",
     "coefficient_matrix_to_operator",
-    "hermitian_defect",
     "require_hermitian",
 ]
 
 #: Scale-relative Frobenius tolerance for Hermiticity checks.
 HERMITIAN_TOL = 1e-9
-#: Relative Frobenius tolerance for eig/SVD reconstruction contracts.
-RECONSTRUCTION_TOL = 1e-10
-#: Deviation of a basis Gram matrix from the identity before it is rejected.
-BASIS_TOL = 1e-10
 
 # Eigenvalues / singular values closer than this (relative to the largest)
 # are treated as one degenerate cluster for deterministic ordering.
@@ -90,12 +83,6 @@ def _as_square(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def hermitian_defect(m: np.ndarray) -> float:
-    """Frobenius distance between a matrix and its conjugate transpose."""
-    a = _as_square(m)
-    return float(np.linalg.norm(a - a.conj().T))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -287,35 +274,13 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return ops
 
 
-def _require_orthonormal(basis: Sequence[np.ndarray], d: int, name: str) -> np.ndarray:
-    """Validate a Hilbert-Schmidt orthonormal basis; return it vectorized."""
-    if len(basis) != d * d:
-        raise ValueError(f"{name} must contain {d * d} operators, got {len(basis)}")
-    flat = np.stack([_as_complex(b).reshape(-1) for b in basis])
-    if flat.shape[1] != d * d:
-        raise ValueError(f"{name} operators must be {d}x{d}")
-    gram = flat.conj() @ flat.T
-    defect = float(np.max(np.abs(gram - np.eye(d * d))))
-    if defect > BASIS_TOL:
-        raise ValueError(
-            f"{name} is not Hilbert-Schmidt orthonormal: Gram defect {defect:.3e}"
-        )
-    return flat
-
-
-def operator_to_coefficient_matrix(
-    m,
-    dims: DimPair | Sequence[int],
-    basis_a: Sequence[np.ndarray] | None = None,
-    basis_b: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Coefficients of a bipartite operator in a product operator basis.
+def operator_to_coefficient_matrix(m, dims: DimPair | Sequence[int]) -> np.ndarray:
+    """Coefficients of a bipartite operator in the Hermitian product basis.
 
     Returns the da^2 x db^2 matrix ``c`` with
     ``c[k, l] = Tr((G_k (x) H_l)^dagger M)``, so that
-    ``M = sum_kl c[k, l] G_k (x) H_l``.  Bases default to
-    :func:`hermitian_basis` of each factor and must be orthonormal under
-    the Hilbert-Schmidt inner product.
+    ``M = sum_kl c[k, l] G_k (x) H_l``, where ``G`` and ``H`` are the
+    :func:`hermitian_basis` of each factor.
     """
     dims = DimPair(*dims)
     a = _as_square(m)
@@ -323,12 +288,8 @@ def operator_to_coefficient_matrix(
         raise ValueError(
             f"matrix dimension {a.shape[0]} does not match dims {dims}"
         )
-    if basis_a is None:
-        basis_a = hermitian_basis(dims.da)
-    if basis_b is None:
-        basis_b = hermitian_basis(dims.db)
-    ga = _require_orthonormal(basis_a, dims.da, "basis_a")
-    hb = _require_orthonormal(basis_b, dims.db, "basis_b")
+    ga = np.stack(hermitian_basis(dims.da)).reshape(dims.da * dims.da, -1)
+    hb = np.stack(hermitian_basis(dims.db)).reshape(dims.db * dims.db, -1)
     # R[(a,a'), (b,b')] = M[(a,b), (a',b')]
     r = (
         a.reshape(dims.da, dims.db, dims.da, dims.db)

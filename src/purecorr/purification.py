@@ -16,12 +16,15 @@ from typing import Iterable
 
 import numpy as np
 
+from .correlation import FACTORABLE_TOL, is_factorable
 from .linalg import DimPair, hermitian_eig, multi_partial_trace
 from .reports import TheoremReport
 from .states import (
     BipartiteState,
     DensityMatrix,
     PureState,
+    random_density,
+    random_product_state,
     random_unitary,
 )
 
@@ -297,8 +300,6 @@ def verify_purification_entanglement(
     exists; the factored construction with the identity unitary is that
     witness, and the Haar trials just record how entangled the rest are.
     """
-    from .correlation import FACTORABLE_TOL, is_factorable
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if factorable_tol is None:
@@ -381,8 +382,6 @@ def entanglement_campaign(
     :func:`verify_purification_entanglement` on each, and merges the
     outcomes into a single report.
     """
-    from .states import random_density, random_product_state
-
     dims = DimPair(*dims)
     s_state, s_prod, s_u1, s_u2 = _sub_seeds(seed, 4)
     rho = random_density(dims, dims.total, s_state)

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Observable
-from .linalg import DimPair
-from .states import BipartiteState, DensityMatrix, PureState
+from .linalg import DimPair, multi_partial_trace
+from .states import BipartiteState, DensityMatrix, Observable, PureState, _trusted
 
 __all__ = [
     "FORMAT_VERSION",
     "StateFileError",
     "StateFileContent",
     "parse_content",
+    "content_to_bipartite",
     "parse_state_file",
     "parse_observable_file",
     "emit_state_file",
@@ -58,12 +58,12 @@ class StateFileError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class StateFileContent:
-    """Raw parsed file: kind, factor dims, factor labels and the array."""
+    """Parsed file: kind, factor dims, factor labels and the validated value."""
 
     kind: str
     dims: tuple[int, ...]
     labels: tuple[str, ...]
-    array: np.ndarray
+    value: DensityMatrix | PureState | Observable
 
 
 def default_labels(count: int) -> tuple[str, ...]:
@@ -214,11 +214,12 @@ def _payload_to_matrix(payload) -> np.ndarray:
 
 
 def parse_content(text: str) -> StateFileContent:
-    """Parse a state file into its raw content, validating the physics.
+    """Parse a state file, validating the physics once.
 
     Density matrices must be Hermitian, unit trace and positive
     semidefinite; pure vectors must be normalized; observables Hermitian.
     Violations raise :class:`StateFileError` naming the failed invariant.
+    The validated value is kept on the returned content.
     """
     scanner = _Scanner(text)
     fields: dict[str, object] = {}
@@ -294,38 +295,70 @@ def parse_content(text: str) -> StateFileContent:
                 f"matrix shape {array.shape} does not match dims product {total}"
             )
 
-    content = StateFileContent(kind, tuple(dims), tuple(labels), array)
-    _validate_physics(content)
-    return content
-
-
-def _validate_physics(content: StateFileContent) -> None:
     try:
-        if content.kind == "density":
-            DensityMatrix(content.array)
-        elif content.kind == "pure":
-            PureState(content.array, tuple(zip(content.labels, content.dims)))
+        if kind == "density":
+            value = DensityMatrix(array)
+        elif kind == "pure":
+            value = PureState(array, tuple(zip(labels, dims)))
         else:
-            Observable(content.array)
+            value = Observable(array)
     except ValueError as exc:
         raise StateFileError(str(exc)) from exc
+    return StateFileContent(kind, tuple(dims), tuple(labels), value)
+
+
+def _require_state(content: StateFileContent) -> None:
+    if content.kind == "observable":
+        raise StateFileError("expected a density or pure state file, found an observable")
 
 
 def content_to_state(
     content: StateFileContent,
 ) -> BipartiteState | PureState | DensityMatrix:
     """Typed state for a parsed file (density files need one or two factors)."""
-    if content.kind == "pure":
-        return PureState(content.array, tuple(zip(content.labels, content.dims)))
-    if content.kind == "observable":
-        raise StateFileError("expected a density or pure state file, found an observable")
-    dm = DensityMatrix(content.array)
-    if len(content.dims) == 1:
-        return dm
+    _require_state(content)
+    if content.kind == "pure" or len(content.dims) == 1:
+        return content.value
     if len(content.dims) == 2:
-        return BipartiteState(dm, DimPair(*content.dims))
+        return BipartiteState(content.value, DimPair(*content.dims))
     raise StateFileError(
         f"density file has {len(content.dims)} factors; trace it down to two first"
+    )
+
+
+def content_to_bipartite(
+    content: StateFileContent, trace_out: str | None = None
+) -> BipartiteState:
+    """Bipartite density matrix of a parsed state file.
+
+    ``trace_out`` names factors (comma-separated labels) to trace out first;
+    pure states are turned into their density.  One remaining factor gives
+    a ``d x 1`` bipartite state; more than two is an error.
+    """
+    _require_state(content)
+    dims = list(content.dims)
+    labels = list(content.labels)
+    drop = [s.strip() for s in (trace_out or "").split(",") if s.strip()]
+    unknown = sorted(set(drop) - set(labels))
+    if unknown:
+        raise StateFileError(f"labels {unknown} not in state factors {labels}")
+    keep = [i for i, lab in enumerate(labels) if lab not in drop]
+    if not keep:
+        raise StateFileError("cannot trace out every factor")
+    if content.kind == "density" and len(keep) == len(labels):
+        dm = content.value
+    else:
+        value = content.value
+        matrix = value.density() if content.kind == "pure" else value.matrix
+        dm = _trusted(DensityMatrix, matrix=multi_partial_trace(matrix, dims, keep))
+        dims = [dims[i] for i in keep]
+        labels = [labels[i] for i in keep]
+    if len(dims) == 1:
+        return BipartiteState(dm, DimPair(dims[0], 1))
+    if len(dims) == 2:
+        return BipartiteState(dm, DimPair(*dims))
+    raise StateFileError(
+        f"state has {len(dims)} factors {labels}; use --trace-out to reduce to two"
     )
 
 
@@ -345,7 +378,7 @@ def parse_observable_file(text: str) -> Observable:
     content = parse_content(text)
     if content.kind != "observable":
         raise StateFileError(f"expected an observable file, found kind {content.kind!r}")
-    return Observable(content.array)
+    return content.value
 
 
 def _fmt(x: float) -> str:

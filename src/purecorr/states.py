@@ -1,7 +1,10 @@
 """Validated quantum-state types, canonical examples and seeded generators.
 
-States are immutable after construction (arrays are marked read-only) and
-validation happens once, in the constructor.  Every random generator is a
+States and observables are immutable after construction (arrays are marked
+read-only) and validation happens once, in the constructor, at the boundary
+where a value enters the library.  Values derived from validated ones
+(marginals, correlation operators, Schmidt factors) are built with
+:func:`_trusted` and are not checked again.  Every random generator is a
 seeded ``numpy.random.default_rng`` (PCG64); the generator name is recorded
 in verification reports so seeds quoted there are reproducible.
 """
@@ -22,6 +25,7 @@ __all__ = [
     "NORM_TOL",
     "PSD_TOL",
     "DensityMatrix",
+    "Observable",
     "BipartiteState",
     "PureState",
     "Ensemble",
@@ -47,6 +51,20 @@ PSD_TOL = 1e-9
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _trusted(cls, **fields):
+    """An instance of ``cls`` whose fields are derived from validated values.
+
+    Skips the constructor's validation, so the caller vouches for the
+    invariants; array fields are marked read-only as the constructors do.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = _freeze(value)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +97,24 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class Observable:
+    """A Hermitian matrix whose eigenvalues label measurement outcomes."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=np.complex128)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("observable entries must be finite")
+        require_hermitian(m)
+        object.__setattr__(self, "matrix", _freeze(m))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A density matrix together with its two subsystem dimensions."""
 
@@ -101,7 +137,8 @@ class BipartiteState:
 
     def marginal(self, keep: str) -> DensityMatrix:
         """Reduced state of subsystem "A" or "B"."""
-        return DensityMatrix(partial_trace(self.matrix, self.dims, keep))
+        marginal = partial_trace(self.matrix, self.dims, keep)
+        return _trusted(DensityMatrix, matrix=marginal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -244,6 +244,26 @@ class TestSynthesizeWitness:
         np.testing.assert_array_equal(w1.e.matrix, w2.e.matrix)
         np.testing.assert_array_equal(w1.f.matrix, w2.f.matrix)
 
+    def test_near_factorable_mixture(self):
+        # sigma1 ~ 1.9e-10 is below an absolute 1e-9 tie threshold, which
+        # would count every coefficient as tied and could pick a zero pair
+        eps = 1e-9
+        product = random_product_state(DimPair(2, 2), 1).matrix
+        ginibre = random_density(DimPair(2, 2), 4, 7).matrix
+        rho = BipartiteState(
+            DensityMatrix((1 - eps) * product + eps * ginibre), DimPair(2, 2)
+        )
+        w = synthesize_witness(rho)
+        assert w.sigma1 == pytest.approx(1.89e-10, rel=1e-2)
+        assert abs(w.covariance - w.sigma1) <= 1e-6 * w.sigma1
+
+    def test_carries_correlation_operator(self):
+        rho = random_density(DimPair(2, 3), 6, 4)
+        w = synthesize_witness(rho)
+        np.testing.assert_array_equal(w.correlation.delta, correlation_operator(rho).delta)
+        np.testing.assert_array_equal(w.correlation.rho_a, rho.marginal("A").matrix)
+        np.testing.assert_array_equal(w.correlation.rho_b, rho.marginal("B").matrix)
+
 
 class TestBruteForce:
     def test_product_state_is_zero(self):

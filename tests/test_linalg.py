@@ -374,11 +374,6 @@ class TestCoefficientMatrix:
         back = coefficient_matrix_to_operator(c, basis_a, basis_b)
         assert np.linalg.norm(back - m) / np.linalg.norm(m) <= 1e-10
 
-    def test_rejects_non_orthonormal_basis(self):
-        bad = [np.eye(2, dtype=complex)] * 4
-        with pytest.raises(ValueError, match="orthonormal"):
-            operator_to_coefficient_matrix(np.eye(4), DimPair(2, 2), bad, None)
-
 
 class TestRequireHermitian:
     def test_scale_relative(self):
