@@ -36,7 +36,6 @@ from .linalg import (
     tensor_product,
 )
 from .purification import (
-    CutSpec,
     EntanglementReport,
     Purification,
     apply_ancilla_unitary,

@@ -3,7 +3,8 @@
 The covariance of two observables on a bipartite state is the joint
 expectation minus the product of the marginal expectations.  It equals the
 Hilbert-Schmidt pairing of the observables with the correlation operator
-``Delta = rho - rho_A (x) rho_B``, so the best unit-norm observable pair is
+``Delta = rho - rho_A (x) rho_B``, and is computed that way, so that no two
+O(1) traces cancel.  The best unit-norm observable pair is
 read off the operator Schmidt decomposition of Delta: expand Delta in
 Hermitian product bases, SVD the (real) coefficient matrix, and recombine
 the top singular pair.  The achieved covariance is then the top singular
@@ -74,6 +75,8 @@ IMAG_TOL = 1e-10
 # is relative with no floor, so a state near the factorable boundary (top
 # coefficient far below 1) still has a unique top pair.
 _WITNESS_TIE_TOL = 1e-9
+# A |covariance| above this makes two measurements correlated.
+_CORRELATED_TOL = 1e-9
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -147,25 +150,30 @@ def _real_trace(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _pairing(delta: np.ndarray, e: Observable, f: Observable) -> float:
+    """Tr(Delta (E (x) F)): the covariance of E and F read from Delta."""
+    value = np.trace(delta @ tensor_product(e.matrix, f.matrix))
+    return _real_trace(complex(value), "covariance")
+
+
 def covariance(rho: BipartiteState, e: Observable, f: Observable) -> float:
-    """Joint expectation of E (x) F minus the product of marginal expectations."""
+    """Joint expectation of E (x) F minus the product of marginal expectations.
+
+    Computed as Tr(Delta (E (x) F)), which stays accurate when the state is
+    close to factorable.
+    """
     da, db = rho.dims
     if e.dim != da or f.dim != db:
         raise ValueError(
             f"observable dimensions ({e.dim}, {f.dim}) do not match state dims "
             f"({da}, {db})"
         )
-    joint = complex(np.trace(rho.matrix @ tensor_product(e.matrix, f.matrix)))
-    mean_a = complex(np.trace(rho.marginal("A").matrix @ e.matrix))
-    mean_b = complex(np.trace(rho.marginal("B").matrix @ f.matrix))
-    return _real_trace(joint - mean_a * mean_b, "covariance")
+    return _pairing(correlation_operator(rho).delta, e, f)
 
 
-def correlated(
-    rho: BipartiteState, e: Observable, f: Observable, tol: float = 1e-9
-) -> bool:
-    """Whether the two measurements are correlated on the state."""
-    return abs(covariance(rho, e, f)) > tol
+def correlated(rho: BipartiteState, e: Observable, f: Observable) -> bool:
+    """Whether the two measurements are correlated on the state (|cov| > 1e-9)."""
+    return abs(covariance(rho, e, f)) > _CORRELATED_TOL
 
 
 def correlation_operator(rho: BipartiteState) -> CorrelationOperator:
@@ -204,13 +212,9 @@ def operator_schmidt(delta: CorrelationOperator) -> OperatorSchmidt:
             "input must be Hermitian"
         )
     sd = svd(c.real)
-    k = sd.singular_values.size
-    basis_a = np.stack(hermitian_basis(da))
-    basis_b = np.stack(hermitian_basis(db))
-    coords_a = sd.left_vectors[:, :k].real
-    coords_b = sd.right_vectors[:, :k].real
-    mats_a = np.einsum("mk,mij->kij", coords_a, basis_a)
-    mats_b = np.einsum("nk,nij->kij", coords_b, basis_b)
+    coords_a, coords_b = sd.left_vectors, sd.right_vectors
+    mats_a = np.einsum("mk,mij->kij", coords_a, hermitian_basis(da))
+    mats_b = np.einsum("nk,nij->kij", coords_b, hermitian_basis(db))
     return OperatorSchmidt(
         coefficients=sd.singular_values,
         ops_a=tuple(_trusted(Observable, matrix=m) for m in mats_a),
@@ -238,8 +242,7 @@ def synthesize_witness(rho: BipartiteState) -> CorrelationWitness:
     if tied.size > 1:
         idx = max(tied, key=lambda j: _lex_key(schmidt.coords_a[:, j]))
     e, f = schmidt.ops_a[idx], schmidt.ops_b[idx]
-    pairing = np.trace(corr.delta @ tensor_product(e.matrix, f.matrix))
-    cov = _real_trace(complex(pairing), "covariance")
+    cov = _pairing(corr.delta, e, f)
     if cov < 0:
         e = _trusted(Observable, matrix=-e.matrix)
         cov = -cov
@@ -285,13 +288,11 @@ def brute_force_max_covariance(rho: BipartiteState, trials: int, seed) -> float:
     return float(np.max(np.abs(cov.real)))
 
 
-def to_projective(
-    obs: Observable, group_tol: float = OUTCOME_GROUP_TOL
-) -> list[tuple[float, np.ndarray]]:
+def to_projective(obs: Observable) -> list[tuple[float, np.ndarray]]:
     """Spectral resolution of an observable as (outcome, projector) pairs.
 
-    Eigenvalues within ``group_tol`` of each other are merged into a single
-    outcome (labeled by their mean) with the summed projector, so the
+    Eigenvalues within ``OUTCOME_GROUP_TOL`` of each other are merged into a
+    single outcome (labeled by their mean) with the summed projector, so the
     projectors are idempotent, mutually orthogonal and resolve the identity.
     """
     eig = hermitian_eig(obs.matrix)
@@ -300,7 +301,7 @@ def to_projective(
     i = 0
     while i < vals.size:
         j = i + 1
-        while j < vals.size and vals[i] - vals[j] <= group_tol:
+        while j < vals.size and vals[i] - vals[j] <= OUTCOME_GROUP_TOL:
             j += 1
         block = vecs[:, i:j]
         outcomes.append((float(vals[i:j].mean()), block @ block.conj().T))
@@ -438,13 +439,12 @@ def verify_witness_criterion(
     seed: int,
     *,
     factorable_tol: float = FACTORABLE_TOL,
-    witness_tol: float = WITNESS_TOL,
 ) -> TheoremReport:
     """Check the biconditional: a correlated pair exists iff non-factorable.
 
     Runs ``trials`` seeded Ginibre full-rank states and ``trials`` seeded
     product states on the given dimensions.  For each, the synthesized
-    witness must be significant (|covariance| > witness_tol) exactly when
+    witness must be significant (|covariance| > WITNESS_TOL) exactly when
     ||Delta||_F exceeds factorable_tol.  The report lists every violation.
     """
     dims = DimPair(*dims)
@@ -460,7 +460,7 @@ def verify_witness_criterion(
         witness = synthesize_witness(rho)
         norm = witness.correlation.frobenius_norm
         factorable = norm <= factorable_tol
-        significant = abs(witness.covariance) > witness_tol
+        significant = abs(witness.covariance) > WITNESS_TOL
         if factorable:
             max_cov_factorable = max(max_cov_factorable, abs(witness.covariance))
         else:
@@ -495,6 +495,6 @@ def verify_witness_criterion(
         stats=stats,
         tolerances={
             "factorable_tol": factorable_tol,
-            "witness_tol": witness_tol,
+            "witness_tol": WITNESS_TOL,
         },
     )

@@ -1,14 +1,16 @@
 """Dense complex linear-algebra kernels for small multipartite operators.
 
 Everything here works on plain ``numpy.ndarray`` values (complex128, row
-major).  The composite index convention is fixed globally: an index on a
-tensor-product space decomposes as ``i = a * db + b`` with the first factor
-varying slowest, and every higher-level module inherits it.  All functions
+major; real input stays float64).  The composite index convention is fixed
+globally: an index on a tensor-product space decomposes as
+``i = a * db + b`` with the first factor varying slowest, and every
+higher-level module inherits it.  All functions
 are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -61,16 +63,17 @@ class EigDecomposition(NamedTuple):
 
 
 class SvdDecomposition(NamedTuple):
-    """Full singular value decomposition M = U diag(s) V^dagger."""
+    """Thin singular value decomposition M = U diag(s) V^dagger.
+
+    For an m x n matrix, U and V each have min(m, n) orthonormal columns.
+    """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        k = self.singular_values.size
-        u = self.left_vectors[:, :k]
-        v = self.right_vectors[:, :k]
+        u, v = self.left_vectors, self.right_vectors
         return (u * self.singular_values) @ v.conj().T
 
 
@@ -78,26 +81,35 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
+def _as_matrix(m) -> np.ndarray:
+    """A 2-D float64 or complex128 array; real input stays real."""
+    a = np.asarray(m)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return a
+
+
 def _as_square(m) -> np.ndarray:
-    a = _as_complex(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_matrix(m)
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return the matrix unchanged or raise if it is not Hermitian.
 
     The check is scale invariant: the defect is compared against
-    ``tol * max(1, ||m||_F)``.
+    ``HERMITIAN_TOL * max(1, ||m||_F)``.
     """
     a = _as_square(m)
     defect = float(np.linalg.norm(a - a.conj().T))
     scale = max(1.0, float(np.linalg.norm(a)))
-    if defect > tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{tol:.1e} * max(1, norm)"
+            f"{HERMITIAN_TOL:.1e} * max(1, norm)"
         )
     return a
 
@@ -167,110 +179,115 @@ def _lex_key(column: np.ndarray) -> tuple:
     return tuple(p for c in column for p in (float(c.real), float(c.imag)))
 
 
-def _phase_fix_column(col: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first nonzero component is real positive."""
-    nz = np.flatnonzero(np.abs(col) > 1e-12)
-    if nz.size == 0:
-        return col
-    pivot = col[nz[0]]
-    return col * (pivot.conjugate() / abs(pivot))
+def _column_phases(vecs: np.ndarray) -> np.ndarray:
+    """Unit factors that make each column's first nonzero component real positive.
+
+    The columns are unit vectors, so each has a component above 1e-12 in
+    magnitude.  For real input the factors are +-1 and real vectors stay real.
+    """
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+    pivot = vecs[first, np.arange(vecs.shape[1])]
+    return pivot.conjugate() / np.abs(pivot)
 
 
 def _tie_clusters(values: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open index ranges of (near-)equal consecutive values."""
+    """Half-open index ranges of (near-)equal consecutive values.
+
+    The tolerance is relative to the largest magnitude, with no floor, so
+    values far below 1 are still ordered by value.
+    """
     clusters = []
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    tol = _TIE_TOL * float(np.max(np.abs(values))) if values.size else 0.0
     i = 0
     while i < values.size:
         j = i + 1
-        while j < values.size and abs(values[i] - values[j]) <= _TIE_TOL * scale:
+        while j < values.size and abs(values[i] - values[j]) <= tol:
             j += 1
         clusters.append((i, j))
         i = j
     return clusters
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> EigDecomposition:
+def _order_ties(values: np.ndarray, first: np.ndarray, *paired: np.ndarray) -> None:
+    """Order each tie cluster by the lexicographically smallest column of ``first``.
+
+    ``values``, ``first`` and every ``paired`` array are permuted in place
+    with the same column permutation.
+    """
+    for lo, hi in _tie_clusters(values):
+        if hi - lo > 1:
+            perm = sorted(range(lo, hi), key=lambda k: _lex_key(first[:, k]))
+            values[lo:hi] = values[perm]
+            for vecs in (first, *paired):
+                vecs[:, lo:hi] = vecs[:, perm]
+
+
+def hermitian_eig(m) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues are real and sorted descending.  Each eigenvector's phase is
     fixed (first nonzero component real positive) and degenerate clusters are
     ordered by the lexicographically smallest eigenvector, so the output is
-    deterministic for a given input.
+    deterministic for a given input.  Real symmetric input gives real
+    eigenvectors.
     """
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        vecs[:, k] = _phase_fix_column(vecs[:, k])
-    for lo, hi in _tie_clusters(vals):
-        if hi - lo > 1:
-            perm = sorted(range(lo, hi), key=lambda k: _lex_key(vecs[:, k]))
-            vals[lo:hi] = vals[perm]
-            vecs[:, lo:hi] = vecs[:, perm]
+    vecs *= _column_phases(vecs)
+    _order_ties(vals, vecs)
     return EigDecomposition(vals, vecs)
 
 
 def svd(m) -> SvdDecomposition:
-    """Full SVD with deterministic phases and degenerate-cluster ordering.
+    """Thin SVD with deterministic phases and degenerate-cluster ordering.
 
     Singular values are nonnegative and descending; ``left_vectors`` and
-    ``right_vectors`` are full square unitaries (columns of U and V).
+    ``right_vectors`` hold min(m, n) orthonormal columns each, real for
+    real input.  Each left vector's first nonzero component is real
+    positive, and its right partner carries the same phase, so
+    U diag(s) V^dagger is unchanged.
     """
-    a = _as_complex(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    u, s, vh = np.linalg.svd(a)
+    a = _as_matrix(m)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     v = vh.conj().T
-    k = s.size
-    # Phase-fix paired columns jointly so U diag(s) V^dagger is unchanged.
-    for j in range(k):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]].conjugate() / abs(col[nz[0]])
-            u[:, j] = col * phase
-            v[:, j] = v[:, j] * phase
-    for j in range(k, u.shape[1]):
-        u[:, j] = _phase_fix_column(u[:, j])
-    for j in range(k, v.shape[1]):
-        v[:, j] = _phase_fix_column(v[:, j])
-    for lo, hi in _tie_clusters(s):
-        if hi - lo > 1:
-            perm = sorted(range(lo, hi), key=lambda j: _lex_key(u[:, j]))
-            s[lo:hi] = s[perm]
-            u[:, lo:hi] = u[:, perm]
-            v[:, lo:hi] = v[:, perm]
+    phases = _column_phases(u)
+    u *= phases
+    v *= phases
+    _order_ties(s, u, v)
     return SvdDecomposition(s, u, v)
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
+@functools.cache
+def hermitian_basis(d: int) -> np.ndarray:
     """Hermitian operator basis, orthonormal in the Hilbert-Schmidt sense.
 
-    Ordering: normalized identity first, then for each index pair j < k the
-    symmetric and antisymmetric off-diagonal generators, then the diagonal
-    generators.  For d == 2 this is exactly (I, sigma_x, sigma_y, sigma_z)
-    divided by sqrt(2).
+    Returns a read-only ``(d*d, d, d)`` stack, built once per dimension and
+    shared by every caller.  Ordering: normalized identity first, then for
+    each index pair j < k the symmetric and antisymmetric off-diagonal
+    generators, then the diagonal generators.  For d == 2 this is exactly
+    (I, sigma_x, sigma_y, sigma_z) divided by sqrt(2).
     """
     if d < 1:
         raise ValueError("basis dimension must be >= 1")
-    ops = [np.eye(d, dtype=np.complex128) / math.sqrt(d)]
+    ops = np.zeros((d * d, d, d), dtype=np.complex128)
+    ops[0] = np.eye(d, dtype=np.complex128) / math.sqrt(d)
+    n = 1
     for j in range(d):
         for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
-            ops.append(sym)
-            asym = np.zeros((d, d), dtype=np.complex128)
-            asym[j, k] = -1j / math.sqrt(2.0)
-            asym[k, j] = 1j / math.sqrt(2.0)
-            ops.append(asym)
+            ops[n, j, k] = ops[n, k, j] = 1.0 / math.sqrt(2.0)
+            ops[n + 1, j, k] = -1j / math.sqrt(2.0)
+            ops[n + 1, k, j] = 1j / math.sqrt(2.0)
+            n += 2
     for l in range(1, d):
         diag = np.zeros(d)
         diag[:l] = 1.0
         diag[l] = -float(l)
-        ops.append(np.diag(diag).astype(np.complex128) / math.sqrt(l * (l + 1)))
+        ops[n] = np.diag(diag).astype(np.complex128) / math.sqrt(l * (l + 1))
+        n += 1
+    ops.flags.writeable = False
     return ops
 
 
@@ -288,8 +305,8 @@ def operator_to_coefficient_matrix(m, dims: DimPair | Sequence[int]) -> np.ndarr
         raise ValueError(
             f"matrix dimension {a.shape[0]} does not match dims {dims}"
         )
-    ga = np.stack(hermitian_basis(dims.da)).reshape(dims.da * dims.da, -1)
-    hb = np.stack(hermitian_basis(dims.db)).reshape(dims.db * dims.db, -1)
+    ga = hermitian_basis(dims.da).reshape(dims.da * dims.da, -1)
+    hb = hermitian_basis(dims.db).reshape(dims.db * dims.db, -1)
     # R[(a,a'), (b,b')] = M[(a,b), (a',b')]
     r = (
         a.reshape(dims.da, dims.db, dims.da, dims.db)
@@ -306,8 +323,8 @@ def coefficient_matrix_to_operator(
 ) -> np.ndarray:
     """Recombine a coefficient matrix into the bipartite operator it encodes."""
     c = _as_complex(c)
-    ga = np.stack([_as_complex(b) for b in basis_a])
-    hb = np.stack([_as_complex(b) for b in basis_b])
+    ga = _as_complex(basis_a)
+    hb = _as_complex(basis_b)
     da = ga.shape[1]
     db = hb.shape[1]
     if c.shape != (ga.shape[0], hb.shape[0]):

@@ -33,7 +33,6 @@ __all__ = [
     "EIG_CLIP",
     "RECOVERY_TOL",
     "UNITARY_TOL",
-    "CutSpec",
     "EntanglementReport",
     "Purification",
     "purify",
@@ -53,29 +52,6 @@ EIG_CLIP = 1e-9
 RECOVERY_TOL = 1e-10
 #: Frobenius tolerance (times sqrt(dim)) for unitarity checks.
 UNITARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    """A bipartition of a pure state's factor labels."""
-
-    left: frozenset[str]
-    right: frozenset[str]
-
-    def __post_init__(self):
-        left = frozenset(self.left)
-        right = frozenset(self.right)
-        if not left or not right:
-            raise ValueError("both sides of a cut must be nonempty")
-        if left & right:
-            raise ValueError(f"cut sides overlap: {sorted(left & right)}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @classmethod
-    def from_left(cls, psi: PureState, left: Iterable[str]) -> "CutSpec":
-        left = frozenset(str(lab) for lab in left)
-        return cls(left, frozenset(psi.labels) - left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,29 +213,25 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
     return Purification(PureState(amps, p.state.layout), p.original)
 
 
-def cut_entanglement(
-    psi: PureState,
-    cut: CutSpec | Iterable[str],
-    rank_tol: float = RANK_TOL,
-) -> EntanglementReport:
+def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
     """Schmidt coefficients, rank and entropy of a pure state across a cut.
 
-    Factors named on the left side are grouped (in layout order), the
-    amplitude vector is reshaped to a left x right matrix, and the singular
-    values of that matrix are the Schmidt coefficients.  A state is
-    entangled across the cut when more than one coefficient exceeds
-    ``rank_tol``.
+    The cut is named by the labels of its left side; every other factor is
+    on the right.  Left factors are grouped (in layout order), the amplitude
+    vector is reshaped to a left x right matrix, and the singular values of
+    that matrix are the Schmidt coefficients.  A state is entangled across
+    the cut when more than one coefficient exceeds ``RANK_TOL``.
     """
-    if not isinstance(cut, CutSpec):
-        cut = CutSpec.from_left(psi, cut)
     labels = psi.labels
-    if cut.left | cut.right != set(labels) or not cut.left.issubset(labels):
+    left = frozenset(str(lab) for lab in left)
+    if not left.issubset(labels):
         raise ValueError(
-            f"cut {sorted(cut.left)} | {sorted(cut.right)} does not match "
-            f"layout labels {list(labels)}"
+            f"cut {sorted(left)} does not match layout labels {list(labels)}"
         )
-    left_pos = [i for i, lab in enumerate(labels) if lab in cut.left]
-    right_pos = [i for i, lab in enumerate(labels) if lab in cut.right]
+    if not left or left == set(labels):
+        raise ValueError("both sides of a cut must be nonempty")
+    left_pos = [i for i, lab in enumerate(labels) if lab in left]
+    right_pos = [i for i, lab in enumerate(labels) if lab not in left]
     dims = psi.factor_dims
     dl = math.prod(dims[i] for i in left_pos)
     dr = math.prod(dims[i] for i in right_pos)
@@ -270,7 +242,7 @@ def cut_entanglement(
         raise ValueError(f"squared Schmidt coefficients sum to {lam.sum():.12g}")
     positive = lam[lam > 0.0]
     entropy = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tol))
+    rank = int(np.count_nonzero(s > RANK_TOL))
     s = s.copy()
     s.flags.writeable = False
     return EntanglementReport(s, rank, entropy, rank > 1)
@@ -287,8 +259,7 @@ def verify_purification_entanglement(
     trials: int,
     seed: int,
     *,
-    rank_tol: float = RANK_TOL,
-    factorable_tol: float | None = None,
+    factorable_tol: float = FACTORABLE_TOL,
 ) -> TheoremReport:
     """Sample purifications of one state and check the entanglement claim.
 
@@ -302,8 +273,6 @@ def verify_purification_entanglement(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if factorable_tol is None:
-        factorable_tol = FACTORABLE_TOL
     factorable = is_factorable(rho, factorable_tol)
     if factorable:
         base = factored_purification(rho.marginal("A"), rho.marginal("B"))
@@ -313,14 +282,14 @@ def verify_purification_entanglement(
     dc = math.prod(
         d for lab, d in base.state.layout if lab.startswith("C")
     )
-    cut = CutSpec.from_left(base.state, ("A", "C1"))
+    cut = ("A", "C1")
 
     reports: list[tuple[str, EntanglementReport]] = []
-    reports.append(("identity", cut_entanglement(base.state, cut, rank_tol)))
+    reports.append(("identity", cut_entanglement(base.state, cut)))
     for i, sub in enumerate(_sub_seeds(seed, trials)):
         u = random_unitary(dc, sub)
         sampled = apply_ancilla_unitary(base, u)
-        reports.append((f"haar[{i}]", cut_entanglement(sampled.state, cut, rank_tol)))
+        reports.append((f"haar[{i}]", cut_entanglement(sampled.state, cut)))
 
     entropies = np.array([rep.entropy_bits for _, rep in reports])
     counterexamples: list[str] = []
@@ -361,7 +330,7 @@ def verify_purification_entanglement(
             "max_entropy_bits": float(entropies.max()),
         },
         tolerances={
-            "rank_tol": rank_tol,
+            "rank_tol": RANK_TOL,
             "factorable_tol": factorable_tol,
         },
     )
@@ -372,8 +341,7 @@ def entanglement_campaign(
     trials: int,
     seed: int,
     *,
-    rank_tol: float = RANK_TOL,
-    factorable_tol: float | None = None,
+    factorable_tol: float = FACTORABLE_TOL,
 ) -> TheoremReport:
     """Both directions of the purification claim on seeded random states.
 
@@ -387,10 +355,10 @@ def entanglement_campaign(
     rho = random_density(dims, dims.total, s_state)
     product = random_product_state(dims, s_prod)
     rep_main = verify_purification_entanglement(
-        rho, trials, s_u1, rank_tol=rank_tol, factorable_tol=factorable_tol
+        rho, trials, s_u1, factorable_tol=factorable_tol
     )
     rep_prod = verify_purification_entanglement(
-        product, trials, s_u2, rank_tol=rank_tol, factorable_tol=factorable_tol
+        product, trials, s_u2, factorable_tol=factorable_tol
     )
 
     stats = {f"random_{k}": v for k, v in rep_main.stats.items()}

@@ -29,6 +29,7 @@ from purecorr.states import (
     random_density,
     random_product_state,
 )
+from purecorr.stateio import emit_state_file, parse_state_file
 
 SZ = named_observable("z")
 SX = named_observable("x")
@@ -113,14 +114,14 @@ class TestCovariance:
 
 class TestCorrelated:
     def test_source_state_zz_correlated(self):
-        assert correlated(example_source_state(), SZ, SZ, tol=1e-9)
+        assert correlated(example_source_state(), SZ, SZ)
 
     def test_source_state_xx_uncorrelated(self):
-        assert not correlated(example_source_state(), SX, SX, tol=1e-9)
+        assert not correlated(example_source_state(), SX, SX)
 
     def test_product_state_uncorrelated(self):
         rho = random_product_state(DimPair(2, 2), 5)
-        assert not correlated(rho, SZ, SZ, tol=1e-9)
+        assert not correlated(rho, SZ, SZ)
 
 
 class TestCorrelationOperator:
@@ -203,9 +204,16 @@ class TestSynthesizeWitness:
         )
 
     def test_product_state(self):
-        w = synthesize_witness(random_product_state(DimPair(2, 2), 7))
-        assert abs(w.covariance) <= 1e-12
-        assert w.sigma1 <= 1e-12
+        # Every coefficient is rounding noise (~1e-17), far below 1; the tie
+        # rule must still leave them descending with sigma1 the largest.
+        for dims, seed in [((2, 2), 7), ((2, 3), 200)]:
+            text = emit_state_file(random_product_state(DimPair(*dims), seed))
+            w = synthesize_witness(parse_state_file(text))
+            assert abs(w.covariance) <= 1e-12
+            assert w.sigma1 <= 1e-12
+            s = operator_schmidt(w.correlation).coefficients
+            assert np.all(np.diff(s) <= 0)
+            assert w.sigma1 == s.max()
 
     def test_ghz_marginal_matches_source_state(self):
         w1 = synthesize_witness(example_source_state())
@@ -245,17 +253,19 @@ class TestSynthesizeWitness:
         np.testing.assert_array_equal(w1.f.matrix, w2.f.matrix)
 
     def test_near_factorable_mixture(self):
-        # sigma1 ~ 1.9e-10 is below an absolute 1e-9 tie threshold, which
-        # would count every coefficient as tied and could pick a zero pair
-        eps = 1e-9
+        # sigma1 ~ 0.189 * eps is below an absolute 1e-9 tie threshold, which
+        # would count every coefficient as tied and could pick a zero pair;
+        # covariance() must not lose it to cancelling O(1) traces either
         product = random_product_state(DimPair(2, 2), 1).matrix
         ginibre = random_density(DimPair(2, 2), 4, 7).matrix
-        rho = BipartiteState(
-            DensityMatrix((1 - eps) * product + eps * ginibre), DimPair(2, 2)
-        )
-        w = synthesize_witness(rho)
-        assert w.sigma1 == pytest.approx(1.89e-10, rel=1e-2)
-        assert abs(w.covariance - w.sigma1) <= 1e-6 * w.sigma1
+        for eps in (1e-9, 1e-11, 1e-13):
+            rho = BipartiteState(
+                DensityMatrix((1 - eps) * product + eps * ginibre), DimPair(2, 2)
+            )
+            w = synthesize_witness(rho)
+            assert w.sigma1 == pytest.approx(0.189 * eps, rel=1e-2)
+            assert abs(w.covariance - w.sigma1) <= 1e-6 * w.sigma1
+            assert abs(covariance(rho, w.e, w.f) - w.sigma1) <= 1e-12 * w.sigma1
 
     def test_carries_correlation_operator(self):
         rho = random_density(DimPair(2, 3), 6, 4)

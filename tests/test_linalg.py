@@ -320,7 +320,9 @@ class TestHermitianBasis:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_orthonormal_and_hermitian(self, d):
         basis = hermitian_basis(d)
-        assert len(basis) == d * d
+        assert basis.shape == (d * d, d, d)
+        assert hermitian_basis(d) is basis  # built once per dimension
+        assert not basis.flags.writeable
         for b in basis:
             np.testing.assert_allclose(b, b.conj().T, atol=1e-15)
         flat = np.stack([b.reshape(-1) for b in basis])

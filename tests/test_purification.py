@@ -7,7 +7,6 @@ import pytest
 
 from purecorr.linalg import DimPair, multi_partial_trace, tensor_product
 from purecorr.purification import (
-    CutSpec,
     apply_ancilla_unitary,
     cut_entanglement,
     embed_ancilla,
@@ -205,7 +204,7 @@ class TestCutEntanglement:
 
     def test_cut_must_match_layout(self):
         with pytest.raises(ValueError, match="does not match"):
-            cut_entanglement(ghz(), CutSpec(frozenset("AB"), frozenset("X")))
+            cut_entanglement(ghz(), ("A", "X"))
         with pytest.raises(ValueError, match="nonempty"):
             cut_entanglement(ghz(), ())
 
