@@ -1,7 +1,7 @@
 """Command-line interface: analyze, purify, verify and sample subcommands.
 
 Exit codes are a stable contract: 0 success, 1 a verification campaign
-found a counterexample, 2 input or usage error.
+found a counterexample, 2 input or usage error (a failed allocation included).
 """
 
 from __future__ import annotations
@@ -143,11 +143,7 @@ def cmd_purify(ns) -> int:
             ) from exc
         p = embed_ancilla(p, (c1, c2))
     if ns.unitary_seed is not None:
-        dc = 1
-        for lab, d in p.state.layout:
-            if lab.startswith("C"):
-                dc *= d
-        p = apply_ancilla_unitary(p, random_unitary(dc, ns.unitary_seed))
+        p = apply_ancilla_unitary(p, random_unitary(p.ancilla_dim, ns.unitary_seed))
     if "C1" in p.state.labels:
         left = ("A", "C1")
     else:
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (StateFileError, ValueError, OSError) as exc:
+    except (StateFileError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

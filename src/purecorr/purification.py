@@ -17,12 +17,13 @@ from typing import Iterable
 import numpy as np
 
 from .correlation import FACTORABLE_TOL, is_factorable
-from .linalg import DimPair, hermitian_eig, multi_partial_trace
+from .linalg import DimPair, hermitian_eig
 from .reports import TheoremReport
 from .states import (
     BipartiteState,
     DensityMatrix,
     PureState,
+    _trusted,
     random_density,
     random_product_state,
     random_unitary,
@@ -48,7 +49,7 @@ __all__ = [
 RANK_TOL = 1e-7
 #: Spectrum entries within this of zero are treated as exact zeros.
 EIG_CLIP = 1e-9
-#: Relative Frobenius tolerance for tracing a purification back to its state.
+#: Frobenius tolerance for tracing a purification back to its state.
 RECOVERY_TOL = 1e-10
 #: Frobenius tolerance (times sqrt(dim)) for unitarity checks.
 UNITARY_TOL = 1e-10
@@ -69,39 +70,36 @@ class Purification:
     """A pure state whose ancilla trace-out recovers a recorded mixed state.
 
     Ancilla factors are the ones whose label starts with "C".  Construction
-    re-checks the recovery contract, so a Purification value is trustworthy
-    wherever it flows.
+    re-checks the recovery contract on the system x ancilla amplitude
+    matrix, so a Purification value is trustworthy wherever it flows.
     """
 
     state: PureState
     original: BipartiteState
 
     def __post_init__(self):
-        keep = [
-            i for i, (lab, _) in enumerate(self.state.layout)
-            if not lab.startswith("C")
-        ]
-        if not keep or len(keep) == len(self.state.layout):
+        system = self.system_positions
+        if not system or len(system) == len(self.state.layout):
             raise ValueError("purification needs system and ancilla factors")
-        reduced = multi_partial_trace(
-            self.state.density(), self.state.factor_dims, keep
-        )
-        target = self.original.matrix
-        scale = max(1.0, float(np.linalg.norm(target)))
-        defect = float(np.linalg.norm(reduced - target))
-        if defect > RECOVERY_TOL * scale:
+        defect = float(np.linalg.norm(self.state.reduced(system) - self.original.matrix))
+        if defect > RECOVERY_TOL:
             raise ValueError(
                 f"tracing out the ancillas misses the original state by "
                 f"{defect:.3e} (Frobenius)"
             )
 
     @property
-    def ancilla_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.state.labels if l.startswith("C"))
+    def system_positions(self) -> list[int]:
+        """Layout positions of the system factors (labels not starting with "C")."""
+        return [
+            i for i, lab in enumerate(self.state.labels) if not lab.startswith("C")
+        ]
 
     @property
-    def system_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.state.labels if not l.startswith("C"))
+    def ancilla_dim(self) -> int:
+        """Combined dimension of the ancilla factors."""
+        dims = self.state.factor_dims
+        return self.state.dim // math.prod(dims[i] for i in self.system_positions)
 
 
 def _clipped_spectrum(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +116,6 @@ def purify(state: BipartiteState | DensityMatrix) -> Purification:
     Builds sum_k sqrt(p_k) |e_k>|k> over the eigenpairs with p_k > 0 after
     clipping; the layout is (("AB", n), ("C", rank)).
     """
-    if not isinstance(state, (BipartiteState, DensityMatrix)):
-        state = DensityMatrix(state)
     if isinstance(state, DensityMatrix):
         state = BipartiteState(state, DimPair(state.dim, 1))
     lam, vecs = _clipped_spectrum(state.state)
@@ -142,10 +138,6 @@ def factored_purification(
     (A, B, C1, C2); its total dimension is the square of the system's.
     The (A C1 | B C2) cut has Schmidt rank 1 by construction.
     """
-    if not isinstance(rho_a, DensityMatrix):
-        rho_a = DensityMatrix(rho_a)
-    if not isinstance(rho_b, DensityMatrix):
-        rho_b = DensityMatrix(rho_b)
     lam_a, v_a = _clipped_spectrum(rho_a)
     lam_b, v_b = _clipped_spectrum(rho_b)
     phi1 = v_a * np.sqrt(lam_a)  # phi1[a, c1]
@@ -153,9 +145,8 @@ def factored_purification(
     amps = np.einsum("ac,bd->abcd", phi1, phi2).reshape(-1)
     da, db = rho_a.dim, rho_b.dim
     layout = (("A", da), ("B", db), ("C1", da), ("C2", db))
-    product = BipartiteState(
-        DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix)), DimPair(da, db)
-    )
+    kron = _trusted(DensityMatrix, matrix=np.kron(rho_a.matrix, rho_b.matrix))
+    product = BipartiteState(kron, DimPair(da, db))
     return Purification(PureState(amps, layout), product)
 
 
@@ -173,15 +164,14 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
     c1, c2 = (int(d) for d in ancilla_dims)
     if c1 < 1 or c2 < 1:
         raise ValueError(f"ancilla dimensions must be >= 1, got ({c1}, {c2})")
-    n = p.state.layout[0][1]
-    r = p.state.layout[1][1]
+    (_, n), (_, r) = p.state.layout
     if c1 * c2 < r:
         raise ValueError(
             f"ancilla product {c1}x{c2} cannot hold rank {r}"
         )
     da, db = p.original.dims
     padded = np.zeros((n, c1 * c2), dtype=np.complex128)
-    padded[:, :r] = p.state.amplitudes.reshape(n, r)
+    padded[:, :r] = p.state.split([0])
     layout = (("A", da), ("B", db), ("C1", c1), ("C2", c2))
     return Purification(PureState(padded.reshape(-1), layout), p.original)
 
@@ -192,10 +182,7 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
     The result purifies the same original state; that contract is re-checked
     by the Purification constructor.
     """
-    dims = p.state.factor_dims
-    cpos = [i for i, lab in enumerate(p.state.labels) if lab.startswith("C")]
-    rest = [i for i in range(len(dims)) if i not in cpos]
-    dc = math.prod(dims[i] for i in cpos)
+    dc = p.ancilla_dim
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dc, dc):
         raise ValueError(
@@ -205,11 +192,11 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
     if defect > UNITARY_TOL * math.sqrt(dc):
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
 
-    perm = rest + cpos
-    t = p.state.amplitudes.reshape(dims).transpose(perm).reshape(-1, dc)
-    t = t @ u.T  # row s becomes U @ psi[s, :]
-    t = t.reshape([dims[i] for i in rest] + [dims[i] for i in cpos])
-    amps = t.transpose(np.argsort(perm)).reshape(-1)
+    system = p.system_positions
+    t = p.state.split(system) @ u.T  # row s becomes U @ psi[s, :]
+    dims = p.state.factor_dims
+    perm = system + [i for i in range(len(dims)) if i not in system]
+    amps = t.reshape([dims[i] for i in perm]).transpose(np.argsort(perm)).reshape(-1)
     return Purification(PureState(amps, p.state.layout), p.original)
 
 
@@ -230,12 +217,7 @@ def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
         )
     if not left or left == set(labels):
         raise ValueError("both sides of a cut must be nonempty")
-    left_pos = [i for i, lab in enumerate(labels) if lab in left]
-    right_pos = [i for i, lab in enumerate(labels) if lab not in left]
-    dims = psi.factor_dims
-    dl = math.prod(dims[i] for i in left_pos)
-    dr = math.prod(dims[i] for i in right_pos)
-    m = psi.amplitudes.reshape(dims).transpose(left_pos + right_pos).reshape(dl, dr)
+    m = psi.split([i for i, lab in enumerate(labels) if lab in left])
     s = np.linalg.svd(m, compute_uv=False)
     lam = s * s
     if abs(float(lam.sum()) - 1.0) > 1e-9:
@@ -279,9 +261,7 @@ def verify_purification_entanglement(
     else:
         n = rho.dims.total
         base = embed_ancilla(purify(rho), (n, n))
-    dc = math.prod(
-        d for lab, d in base.state.layout if lab.startswith("C")
-    )
+    dc = base.ancilla_dim
     cut = ("A", "C1")
 
     reports: list[tuple[str, EntanglementReport]] = []

@@ -332,8 +332,9 @@ def content_to_bipartite(
     """Bipartite density matrix of a parsed state file.
 
     ``trace_out`` names factors (comma-separated labels) to trace out first;
-    pure states are turned into their density.  One remaining factor gives
-    a ``d x 1`` bipartite state; more than two is an error.
+    pure states are reduced from their amplitude matrix, never through
+    their full density.  One remaining factor gives a ``d x 1`` bipartite
+    state; more than two is an error.
     """
     _require_state(content)
     dims = list(content.dims)
@@ -345,14 +346,13 @@ def content_to_bipartite(
     keep = [i for i, lab in enumerate(labels) if lab not in drop]
     if not keep:
         raise StateFileError("cannot trace out every factor")
-    if content.kind == "density" and len(keep) == len(labels):
-        dm = content.value
+    if content.kind == "pure":
+        matrix = content.value.reduced(keep)
     else:
-        value = content.value
-        matrix = value.density() if content.kind == "pure" else value.matrix
-        dm = _trusted(DensityMatrix, matrix=multi_partial_trace(matrix, dims, keep))
-        dims = [dims[i] for i in keep]
-        labels = [labels[i] for i in keep]
+        matrix = multi_partial_trace(content.value.matrix, dims, keep)
+    dm = _trusted(DensityMatrix, matrix=matrix)
+    dims = [dims[i] for i in keep]
+    labels = [labels[i] for i in keep]
     if len(dims) == 1:
         return BipartiteState(dm, DimPair(dims[0], 1))
     if len(dims) == 2:

@@ -186,6 +186,29 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
+    def split(self, rows: Sequence[int]) -> np.ndarray:
+        """Amplitudes as a matrix whose rows run over the factors at ``rows``.
+
+        The remaining factors index the columns; rows and columns each keep
+        layout order.
+        """
+        dims = self.factor_dims
+        rows = sorted(set(rows))
+        cols = [i for i in range(len(dims)) if i not in rows]
+        t = self.amplitudes.reshape(dims).transpose(rows + cols)
+        return t.reshape(math.prod(dims[i] for i in rows), -1)
+
+    def reduced(self, keep: Sequence[int]) -> np.ndarray:
+        """Reduced density on the factors at ``keep``, trace-normalized.
+
+        ``M M^dagger / Tr(M M^dagger)`` for ``M = split(keep)``, so the
+        memory stays linear in the vector, unlike :meth:`density`.
+        """
+        m = self.split(keep)
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        return rho
+
     def density(self) -> np.ndarray:
         """Projector |psi><psi|, trace-normalized.
 

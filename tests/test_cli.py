@@ -276,6 +276,21 @@ class TestSample:
         assert "dimension 2" in capsys.readouterr().err
 
 
+class TestMemoryError:
+    def test_allocation_failure_is_an_input_error(self, eq2_file, monkeypatch, capsys):
+        def exhausted(p, ancilla_dims):
+            raise MemoryError("Unable to allocate 58.2 TiB")
+
+        monkeypatch.setattr("purecorr.cli.embed_ancilla", exhausted)
+        argv = ["purify", eq2_file, "--ancilla-dims", "1000000,1000000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: Unable to allocate 58.2 TiB"
+        ]
+        assert "Traceback" not in err
+
+
 class TestParserBasics:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -290,6 +290,19 @@ class TestPurificationInvariant:
         with pytest.raises(ValueError, match="misses the original"):
             Purification(p.state, wrong)
 
+    def test_ancilla_first_layout(self):
+        from purecorr.purification import Purification
+
+        rho = random_density(DimPair(2, 2), 3, 5)
+        p = purify(rho)
+        (_, n), (_, r) = p.state.layout
+        swapped = p.state.amplitudes.reshape(n, r).T.reshape(-1)
+        psi = PureState(swapped, (("C", r), ("AB", n)))
+        assert Purification(psi, rho).state is psi
+        wrong = random_density(DimPair(2, 2), 3, 6)
+        with pytest.raises(ValueError, match="misses the original"):
+            Purification(psi, wrong)
+
     def test_tensor_product_marginals_recover(self):
         # sanity for the helper used throughout this module
         a = random_density(DimPair(2, 1), 2, 0).state

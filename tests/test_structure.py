@@ -9,7 +9,8 @@ import purecorr
 from purecorr import cli
 from purecorr.correlation import synthesize_witness, verify_witness_criterion
 from purecorr.linalg import DimPair
-from purecorr.states import DensityMatrix, random_density
+from purecorr.purification import entanglement_campaign
+from purecorr.states import DensityMatrix, PureState, random_density
 from purecorr.stateio import emit_state_file
 
 PACKAGE_DIR = Path(purecorr.__file__).parent
@@ -91,3 +92,34 @@ def test_cli_analyze_validates_once(tmp_path, capsys, validations):
     assert cli.main(["analyze", str(path), "--json"]) == 0
     capsys.readouterr()
     assert len(validations) == 1
+
+
+@pytest.fixture
+def densities(monkeypatch):
+    """Count dense pure-state densities formed for the duration of a test."""
+    calls = []
+    original = PureState.density
+
+    def counting(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(PureState, "density", counting)
+    return calls
+
+
+def test_purification_campaign_forms_no_dense_density(densities):
+    assert entanglement_campaign(DimPair(3, 3), 2, 4).passed
+    assert densities == []
+
+
+def test_cli_purify_and_trace_out_form_no_dense_density(tmp_path, capsys, densities):
+    rho_path = tmp_path / "rho.state"
+    rho_path.write_text(emit_state_file(random_density(DimPair(3, 3), 9, 3)))
+    pure_path = tmp_path / "purified.state"
+    argv = ["purify", str(rho_path), "--ancilla-dims", "9,9",
+            "--unitary-seed", "5", "--out", str(pure_path)]
+    assert cli.main(argv) == 0
+    assert cli.main(["analyze", str(pure_path), "--trace-out", "C1,C2"]) == 0
+    capsys.readouterr()
+    assert densities == []
