@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from .linalg import (
     DimPair,
@@ -386,6 +385,14 @@ def sample_measurements(
     )
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square upper tail P(X >= stat) with ``dof`` degrees of freedom."""
+    # Local so that only callers that compute a p-value pay for loading scipy.
+    from scipy.special import chdtrc
+
+    return float(chdtrc(dof, stat)) if dof > 0 else 1.0
+
+
 def chi_square_goodness(
     counts: np.ndarray, probabilities: np.ndarray
 ) -> tuple[float, int, float]:
@@ -399,14 +406,15 @@ def chi_square_goodness(
     if counts.shape != probabilities.shape:
         raise ValueError("counts and probabilities must have matching shapes")
     n = counts.sum()
+    if n == 0:
+        raise ValueError("counts must not all be zero")
     support = probabilities > 0
     dof = int(support.sum()) - 1
     if counts[~support].sum() > 0:
         return math.inf, dof, 0.0
     expected = n * probabilities[support]
     stat = float(((counts[support] - expected) ** 2 / expected).sum())
-    pvalue = float(_chi2_dist.sf(stat, dof)) if dof > 0 else 1.0
-    return stat, dof, pvalue
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 def chi_square_homogeneity(
@@ -421,6 +429,8 @@ def chi_square_homogeneity(
     c2 = np.asarray(counts2, dtype=float).reshape(-1)
     if c1.shape != c2.shape:
         raise ValueError("count tables must have matching shapes")
+    if c1.sum() == 0 or c2.sum() == 0:
+        raise ValueError("each count table needs a nonzero total")
     keep = (c1 + c2) > 0
     c1, c2 = c1[keep], c2[keep]
     table = np.stack([c1, c2])
@@ -429,8 +439,7 @@ def chi_square_homogeneity(
     expected = row * col / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
     dof = int(c1.size) - 1
-    pvalue = float(_chi2_dist.sf(stat, dof)) if dof > 0 else 1.0
-    return stat, dof, pvalue
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 def verify_witness_criterion(

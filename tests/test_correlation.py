@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from purecorr.correlation import (
     Observable,
@@ -425,6 +426,36 @@ class TestChiSquare:
         c2 = rng.multinomial(50_000, [0.1, 0.2, 0.3, 0.4])
         _, _, pvalue = chi_square_homogeneity(c1, c2)
         assert pvalue < 1e-6
+
+    def test_goodness_rejects_empty_counts(self):
+        with pytest.raises(ValueError, match="counts must not all be zero"):
+            chi_square_goodness(np.zeros(4), [0.25] * 4)
+
+    def test_homogeneity_rejects_one_empty_table(self):
+        with pytest.raises(ValueError, match="nonzero total"):
+            chi_square_homogeneity([3, 5, 2], [0, 0, 0])
+
+    def test_homogeneity_rejects_two_empty_tables(self):
+        with pytest.raises(ValueError, match="nonzero total"):
+            chi_square_homogeneity(np.zeros(3), np.zeros(3))
+
+    def test_pvalues_equal_scipy_chi2_sf_bit_for_bit(self):
+        # Tables built so that the statistic sweeps 1e-6..2000 at every
+        # dof in 1..63; scipy.stats is the oracle for the tail.
+        mean = 1e4
+        for cells in range(2, 65):
+            shift = np.zeros(cells)
+            shift[:2] = [1.0, -1.0]
+            for target in np.geomspace(1e-6, 2000.0, 40):
+                a = np.sqrt(target * mean / 2)
+                counts = mean + a * shift
+                stat, dof, pvalue = chi_square_goodness(counts, np.full(cells, 1 / cells))
+                assert dof == cells - 1
+                assert pvalue == chi2.sf(stat, dof), (stat, dof)
+                b = np.sqrt(target * mean / 4)
+                stat, dof, pvalue = chi_square_homogeneity(mean + b * shift, mean - b * shift)
+                assert dof == cells - 1
+                assert pvalue == chi2.sf(stat, dof), (stat, dof)
 
 
 class TestVerifyWitnessCriterion:

@@ -1,6 +1,9 @@
 """Module layering and validation-at-the-boundary checks."""
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,70 @@ def test_no_function_local_package_imports(name):
         for mod in _imported_modules(node)
     ]
     assert local == [], f"{name} imports purecorr modules inside functions"
+
+
+def _module_level_imports(node: ast.AST) -> list[str]:
+    """Names imported by ``node`` outside any function body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return []
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] if node.level == 0 else []
+    return [n for child in ast.iter_child_nodes(node) for n in _module_level_imports(child)]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
+def test_no_module_level_scipy_import(name):
+    imported = _module_level_imports(_parse(name))
+    scipy = [n for n in imported if n == "scipy" or n.startswith("scipy.")]
+    assert scipy == [], f"{name} imports {scipy} at module level"
+
+
+SCIPY_FREE_RUN = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    from pathlib import Path
+
+    import purecorr, purecorr.cli
+    from purecorr.linalg import DimPair
+    from purecorr.states import random_density
+    from purecorr.stateio import emit_state_file
+
+    tmp = Path(sys.argv[1])
+    rho = tmp / "rho.state"
+    rho.write_text(emit_state_file(random_density(DimPair(2, 2), 4, 1)))
+    runs = [
+        ["analyze", str(rho), "--json"],
+        ["purify", str(rho), "--ancilla-dims", "4,4", "--unitary-seed", "3",
+         "--out", str(tmp / "pure.state")],
+        ["analyze", str(tmp / "pure.state"), "--trace-out", "C1,C2"],
+        ["verify", "--theorem", "1", "--dims", "2x2", "--trials", "2", "--seed", "1"],
+        ["verify", "--theorem", "2", "--dims", "2x2", "--trials", "2", "--seed", "1"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert purecorr.cli.main(argv) == 0, argv
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["sample", str(rho), "--obs-a", "z", "--obs-b", "z",
+                "--trials", "200", "--seed", "1"]
+        assert purecorr.cli.main(argv) == 0
+    print("scipy.stats" in sys.modules)
+    """
+)
+
+
+def test_only_sampling_loads_scipy(tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        cwd=PACKAGE_DIR.parent,
+    )
+    assert run.returncode == 0, run.stderr
+    scipy_before_sample, stats_after_sample = run.stdout.splitlines()
+    assert scipy_before_sample == "[]"
+    assert stats_after_sample == "False"
 
 
 def test_stateio_does_not_import_correlation():
