@@ -26,7 +26,6 @@ from .linalg import (
     DimPair,
     EigDecomposition,
     SvdDecomposition,
-    coefficient_matrix_to_operator,
     hermitian_basis,
     hermitian_eig,
     multi_partial_trace,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -189,9 +190,25 @@ def _parse_dims(text: str) -> DimPair:
     if len(parts) != 2:
         raise StateFileError(f"--dims expects 'dAxdB' (e.g. 2x2), got {text!r}")
     try:
-        return DimPair(int(parts[0]), int(parts[1]))
+        dims = DimPair(int(parts[0]), int(parts[1]))
     except ValueError as exc:
         raise StateFileError(f"--dims expects integers: {exc}") from exc
+    if min(dims) < 1:
+        raise StateFileError(f"--dims factors must be positive, got {text!r}")
+    return dims
+
+
+def _tolerance(text: str) -> float:
+    """Argument type of ``--tol``: a finite, nonnegative float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expects a finite nonnegative number, got {text!r}"
+        )
+    return tol
 
 
 def cmd_verify(ns) -> int:
@@ -267,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[common], help="factorability and correlation witness"
     )
     p.add_argument("state_file")
-    p.add_argument("--tol", type=float, default=FACTORABLE_TOL,
+    p.add_argument("--tol", type=_tolerance, default=FACTORABLE_TOL,
                    help="factorability tolerance on ||Delta||_F")
     p.add_argument("--trace-out", default=None, metavar="LABELS",
                    help="comma-separated factor labels to trace out first")
@@ -292,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, metavar="dAxdB")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=FACTORABLE_TOL,
+    p.add_argument("--tol", type=_tolerance, default=FACTORABLE_TOL,
                    help="factorability tolerance on ||Delta||_F")
     p.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import (
     DimPair,
-    _lex_key,
+    _tie_clusters,
     hermitian_basis,
     hermitian_eig,
     operator_to_coefficient_matrix,
@@ -70,10 +70,6 @@ WITNESS_TOL = 1e-7
 OUTCOME_GROUP_TOL = 1e-8
 #: Largest imaginary residue tolerated on nominally real traces.
 IMAG_TOL = 1e-10
-# Schmidt coefficients within this fraction of the top one tie with it.  It
-# is relative with no floor, so a state near the factorable boundary (top
-# coefficient far below 1) still has a unique top pair.
-_WITNESS_TIE_TOL = 1e-9
 # A |covariance| above this makes two measurements correlated.
 _CORRELATED_TOL = 1e-9
 
@@ -114,17 +110,11 @@ class CorrelationOperator:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSchmidt:
-    """Expansion Delta = sum_k c_k  A_k (x) B_k with orthonormal Hermitian factors.
-
-    ``coords_a`` / ``coords_b`` hold the coordinates of each output operator
-    in the canonical Hermitian basis (one column per term).
-    """
+    """Expansion Delta = sum_k c_k  A_k (x) B_k with orthonormal Hermitian factors."""
 
     coefficients: np.ndarray
     ops_a: tuple[Observable, ...]
     ops_b: tuple[Observable, ...]
-    coords_a: np.ndarray
-    coords_b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +190,9 @@ def operator_schmidt(delta: CorrelationOperator) -> OperatorSchmidt:
 
     The coefficient matrix in the canonical Hermitian product basis is real
     for Hermitian input; its SVD gives descending nonnegative coefficients
-    and Hermitian, Hilbert-Schmidt-orthonormal operator factors.
+    and Hermitian, Hilbert-Schmidt-orthonormal operator factors.  The
+    factors of a degenerate coefficient depend only on its singular
+    subspace (see :func:`purecorr.linalg.svd`).
     """
     da, db = delta.dims
     c = operator_to_coefficient_matrix(delta.delta, delta.dims)
@@ -211,15 +203,12 @@ def operator_schmidt(delta: CorrelationOperator) -> OperatorSchmidt:
             "input must be Hermitian"
         )
     sd = svd(c.real)
-    coords_a, coords_b = sd.left_vectors, sd.right_vectors
-    mats_a = np.einsum("mk,mij->kij", coords_a, hermitian_basis(da))
-    mats_b = np.einsum("nk,nij->kij", coords_b, hermitian_basis(db))
+    mats_a = np.einsum("mk,mij->kij", sd.left_vectors, hermitian_basis(da))
+    mats_b = np.einsum("nk,nij->kij", sd.right_vectors, hermitian_basis(db))
     return OperatorSchmidt(
         coefficients=sd.singular_values,
         ops_a=tuple(_trusted(Observable, matrix=m) for m in mats_a),
         ops_b=tuple(_trusted(Observable, matrix=m) for m in mats_b),
-        coords_a=coords_a,
-        coords_b=coords_b,
     )
 
 
@@ -229,23 +218,18 @@ def synthesize_witness(rho: BipartiteState) -> CorrelationWitness:
     Takes the top operator-Schmidt pair of the correlation operator; the
     achieved covariance Tr(Delta (E (x) F)) equals the top coefficient.  Both
     are zero exactly when the state is factorable.  When the top coefficient
-    is degenerate (within a relative 1e-9) the pair with the
-    lexicographically largest coordinate vector is chosen, and signs are
-    fixed so the covariance is nonnegative.
+    is degenerate (as for every entangled pure state), the pair depends only
+    on its singular subspace, so it is stable under a last-bit change of
+    rho.  The sign is fixed so the covariance is nonnegative.
     """
     corr = correlation_operator(rho)
     schmidt = operator_schmidt(corr)
-    s = schmidt.coefficients
-    idx = 0
-    tied = np.flatnonzero(s[0] - s <= _WITNESS_TIE_TOL * s[0])
-    if tied.size > 1:
-        idx = max(tied, key=lambda j: _lex_key(schmidt.coords_a[:, j]))
-    e, f = schmidt.ops_a[idx], schmidt.ops_b[idx]
+    e, f = schmidt.ops_a[0], schmidt.ops_b[0]
     cov = _pairing(corr.delta, e, f)
     if cov < 0:
         e = _trusted(Observable, matrix=-e.matrix)
         cov = -cov
-    return CorrelationWitness(e, f, cov, float(s[0]), corr)
+    return CorrelationWitness(e, f, cov, float(schmidt.coefficients[0]), corr)
 
 
 def _unit_hermitian_batch(
@@ -294,18 +278,11 @@ def to_projective(obs: Observable) -> list[tuple[float, np.ndarray]]:
     single outcome (labeled by their mean) with the summed projector, so the
     projectors are idempotent, mutually orthogonal and resolve the identity.
     """
-    eig = hermitian_eig(obs.matrix)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
-    outcomes: list[tuple[float, np.ndarray]] = []
-    i = 0
-    while i < vals.size:
-        j = i + 1
-        while j < vals.size and vals[i] - vals[j] <= OUTCOME_GROUP_TOL:
-            j += 1
-        block = vecs[:, i:j]
-        outcomes.append((float(vals[i:j].mean()), block @ block.conj().T))
-        i = j
-    return outcomes
+    vals, vecs = hermitian_eig(obs.matrix)
+    return [
+        (float(vals[i:j].mean()), vecs[:, i:j] @ vecs[:, i:j].conj().T)
+        for i, j in _tie_clusters(vals, OUTCOME_GROUP_TOL)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

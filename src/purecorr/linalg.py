@@ -28,7 +28,6 @@ __all__ = [
     "svd",
     "hermitian_basis",
     "operator_to_coefficient_matrix",
-    "coefficient_matrix_to_operator",
     "require_hermitian",
 ]
 
@@ -36,7 +35,7 @@ __all__ = [
 HERMITIAN_TOL = 1e-9
 
 # Eigenvalues / singular values closer than this (relative to the largest)
-# are treated as one degenerate cluster for deterministic ordering.
+# form one degenerate cluster, whose vectors are rebuilt from its span.
 _TIE_TOL = 1e-12
 
 
@@ -101,14 +100,20 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return the matrix unchanged or raise if it is not Hermitian.
 
     The check is scale invariant: the defect is compared against
-    ``HERMITIAN_TOL * max(1, ||m||_F)``.
+    ``HERMITIAN_TOL * max(1, ||m||_F)``.  Entries above 1 are first divided
+    by the largest magnitude, so that neither norm overflows near the top
+    of the float range.  Non-finite entries are rejected.
     """
     a = _as_square(m)
-    defect = float(np.linalg.norm(a - a.conj().T))
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if defect > HERMITIAN_TOL * scale:
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, peak)
+    unit = a / scale
+    defect = float(np.linalg.norm(unit - unit.conj().T))
+    if defect > HERMITIAN_TOL * max(1.0 / scale, float(np.linalg.norm(unit))):
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"matrix is not Hermitian: defect {defect * scale:.3e} exceeds "
             f"{HERMITIAN_TOL:.1e} * max(1, norm)"
         )
     return a
@@ -174,11 +179,6 @@ def partial_trace(m, dims: DimPair | Sequence[int], keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _lex_key(column: np.ndarray) -> tuple:
-    """Total order on complex vectors: elementwise (real, imag) pairs."""
-    return tuple(p for c in column for p in (float(c.real), float(c.imag)))
-
-
 def _column_phases(vecs: np.ndarray) -> np.ndarray:
     """Unit factors that make each column's first nonzero component real positive.
 
@@ -190,14 +190,9 @@ def _column_phases(vecs: np.ndarray) -> np.ndarray:
     return pivot.conjugate() / np.abs(pivot)
 
 
-def _tie_clusters(values: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open index ranges of (near-)equal consecutive values.
-
-    The tolerance is relative to the largest magnitude, with no floor, so
-    values far below 1 are still ordered by value.
-    """
+def _tie_clusters(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Half-open index ranges of sorted values within ``tol`` of their first."""
     clusters = []
-    tol = _TIE_TOL * float(np.max(np.abs(values))) if values.size else 0.0
     i = 0
     while i < values.size:
         j = i + 1
@@ -208,55 +203,76 @@ def _tie_clusters(values: np.ndarray) -> list[tuple[int, int]]:
     return clusters
 
 
-def _order_ties(values: np.ndarray, first: np.ndarray, *paired: np.ndarray) -> None:
-    """Order each tie cluster by the lexicographically smallest column of ``first``.
+def _canonical_vectors(
+    values: np.ndarray, vecs: np.ndarray, *paired: np.ndarray
+) -> None:
+    """Fix, in place, the phase of each column and the basis of each tie cluster.
 
-    ``values``, ``first`` and every ``paired`` array are permuted in place
-    with the same column permutation.
+    A cluster is a run of values that differ from its first by at most
+    ``_TIE_TOL`` times the largest magnitude (no floor).  Its columns Q are
+    rebuilt from the projector P = Q Q^dagger alone, so they depend on the
+    span and not on how the solver rotated it: Gram-Schmidt runs on the
+    columns of P, each step taking the first column whose residual norm is
+    within a relative 1e-9 of the largest, and the result B gets the phase
+    rule.  Each ``paired`` array (the right vectors of an SVD) takes the same
+    phases and the same change of basis Q^dagger B, so the decomposition is
+    unchanged.
     """
-    for lo, hi in _tie_clusters(values):
+    phases = _column_phases(vecs)
+    for a in (vecs, *paired):
+        a *= phases
+    tol = _TIE_TOL * float(np.max(np.abs(values), initial=0.0))
+    for lo, hi in _tie_clusters(values, tol):
         if hi - lo > 1:
-            perm = sorted(range(lo, hi), key=lambda k: _lex_key(first[:, k]))
-            values[lo:hi] = values[perm]
-            for vecs in (first, *paired):
-                vecs[:, lo:hi] = vecs[:, perm]
+            q = vecs[:, lo:hi]
+            residual = q @ q.conj().T
+            basis = np.empty_like(q)
+            for k in range(hi - lo):
+                # The residual stays a projector R, so ||R e_j||^2 = R_jj and
+                # removing a unit vector b of its range leaves R - b b^dagger.
+                sq = residual.diagonal().real
+                j = int(np.argmax(sq >= (1.0 - 1e-9) ** 2 * sq.max()))
+                basis[:, k] = residual[:, j] / math.sqrt(sq[j])
+                residual -= np.outer(basis[:, k], basis[:, k].conj())
+            basis *= _column_phases(basis)
+            rotation = q.conj().T @ basis
+            for a in paired:
+                a[:, lo:hi] = a[:, lo:hi] @ rotation
+            vecs[:, lo:hi] = basis
 
 
 def hermitian_eig(m) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues are real and sorted descending.  Each eigenvector's phase is
-    fixed (first nonzero component real positive) and degenerate clusters are
-    ordered by the lexicographically smallest eigenvector, so the output is
-    deterministic for a given input.  Real symmetric input gives real
-    eigenvectors.
+    fixed (first nonzero component real positive) and the eigenvectors of a
+    degenerate cluster depend only on its eigenspace, so the output does not
+    depend on how the solver chose a basis inside it.  Real symmetric input
+    gives real eigenvectors.
     """
     a = require_hermitian(m)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    vecs *= _column_phases(vecs)
-    _order_ties(vals, vecs)
+    _canonical_vectors(vals, vecs)
     return EigDecomposition(vals, vecs)
 
 
 def svd(m) -> SvdDecomposition:
-    """Thin SVD with deterministic phases and degenerate-cluster ordering.
+    """Thin SVD with deterministic phases and degenerate-cluster bases.
 
     Singular values are nonnegative and descending; ``left_vectors`` and
     ``right_vectors`` hold min(m, n) orthonormal columns each, real for
     real input.  Each left vector's first nonzero component is real
-    positive, and its right partner carries the same phase, so
+    positive, and the left vectors of a degenerate cluster depend only on
+    their span; the right vectors follow their left partners, so
     U diag(s) V^dagger is unchanged.
     """
     a = _as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     v = vh.conj().T
-    phases = _column_phases(u)
-    u *= phases
-    v *= phases
-    _order_ties(s, u, v)
+    _canonical_vectors(s, u, v)
     return SvdDecomposition(s, u, v)
 
 
@@ -314,23 +330,3 @@ def operator_to_coefficient_matrix(m, dims: DimPair | Sequence[int]) -> np.ndarr
         .reshape(dims.da * dims.da, dims.db * dims.db)
     )
     return ga.conj() @ r @ hb.conj().T
-
-
-def coefficient_matrix_to_operator(
-    c,
-    basis_a: Sequence[np.ndarray],
-    basis_b: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Recombine a coefficient matrix into the bipartite operator it encodes."""
-    c = _as_complex(c)
-    ga = _as_complex(basis_a)
-    hb = _as_complex(basis_b)
-    da = ga.shape[1]
-    db = hb.shape[1]
-    if c.shape != (ga.shape[0], hb.shape[0]):
-        raise ValueError(
-            f"coefficient shape {c.shape} does not match basis sizes "
-            f"({ga.shape[0]}, {hb.shape[0]})"
-        )
-    out = np.einsum("kl,kab,lcd->acbd", c, ga, hb, optimize=True)
-    return out.reshape(da * db, da * db)

@@ -208,6 +208,37 @@ class TestVerify:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("dims", ["0x2", "2x0", "-1x2"])
+    def test_non_positive_dims_named(self, dims, capsys):
+        rc = main([
+            "verify", "--theorem", "2", f"--dims={dims}",
+            "--trials", "5", "--seed", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--dims" in err and "positive" in err
+
+
+class TestToleranceFlag:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_rejected_with_flag_named(self, command, tol, eq2_file, capsys):
+        if command == "analyze":
+            argv = ["analyze", eq2_file]
+        else:
+            argv = ["verify", "--theorem", "2", "--dims", "2x2",
+                    "--trials", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_zero_accepted(self, eq2_file, capsys):
+        assert main(["analyze", eq2_file, "--tol", "0"]) == 0
+        assert "tolerance 0)" in capsys.readouterr().out
+
 
 class TestSample:
     def test_source_state_zz(self, eq2_file, capsys):

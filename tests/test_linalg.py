@@ -1,18 +1,18 @@
 """Tests for the dense linear-algebra kernels.
 
-The oracles here (naive_kron, naive_multi_trace, naive_coefficient) are
-deliberate index-formula loops, independent of the reshape/einsum paths
-they check.
+The oracles here (naive_kron, naive_multi_trace, naive_coefficient,
+naive_operator) are deliberate index-formula loops, independent of the
+reshape/einsum paths they check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from purecorr.linalg import (
     DimPair,
-    coefficient_matrix_to_operator,
     hermitian_basis,
     hermitian_eig,
     multi_partial_trace,
@@ -22,6 +22,7 @@ from purecorr.linalg import (
     svd,
     tensor_product,
 )
+from purecorr.states import Observable
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -338,6 +339,13 @@ class TestCoefficientMatrix:
                 out[k, l] = np.trace(np.kron(g, h).conj().T @ m)
         return out
 
+    def naive_operator(self, c, basis_a, basis_b):
+        return sum(
+            c[k, l] * np.kron(g, h)
+            for k, g in enumerate(basis_a)
+            for l, h in enumerate(basis_b)
+        )
+
     def test_basis_elements_map_to_units(self):
         basis_a = hermitian_basis(2)
         basis_b = hermitian_basis(3)
@@ -373,7 +381,7 @@ class TestCoefficientMatrix:
         np.testing.assert_allclose(
             c, self.naive_coefficient(m, basis_a, basis_b), atol=1e-11
         )
-        back = coefficient_matrix_to_operator(c, basis_a, basis_b)
+        back = self.naive_operator(c, basis_a, basis_b)
         assert np.linalg.norm(back - m) / np.linalg.norm(m) <= 1e-10
 
 
@@ -388,3 +396,22 @@ class TestRequireHermitian:
         m[0, 1] = 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             require_hermitian(m)
+
+    def test_rejects_near_overflow(self):
+        # Unscaled, the defect and the norm both overflow to inf.
+        m = [[1e300, 1e300], [0.0, 1e300]]
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(m)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Observable(m)
+
+    def test_accepts_hermitian_near_overflow_without_warning(self):
+        m = np.array([[1e300, 1e300 - 1e300j], [1e300 + 1e300j, -1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            require_hermitian(m)
+            Observable(m)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            require_hermitian([[np.inf, 0.0], [0.0, 1.0]])

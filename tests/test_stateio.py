@@ -175,6 +175,19 @@ class TestParseErrors:
         with pytest.raises(StateFileError, match="Hermitian"):
             parse_state_file(text)
 
+    def test_non_hermitian_observable_near_overflow_named(self):
+        # The defect and the norm would both overflow to inf unscaled.
+        text = """
+        version: 1
+        kind: observable
+        dims: [2]
+        matrix:
+        [[[1e300, 0.0], [1e300, 0.0]],
+         [[0.0, 0.0], [1e300, 0.0]]]
+        """
+        with pytest.raises(StateFileError, match="Hermitian"):
+            parse_observable_file(text)
+
     def test_unnormalized_pure_named(self):
         text = "version: 1 kind: pure dims: [2] vector: [[1.0, 0.0], [1.0, 0.0]]"
         with pytest.raises(StateFileError, match="norm"):
