@@ -58,6 +58,7 @@ from .states import (
     ghz,
     mix,
     random_density,
+    random_isometry,
     random_product_state,
     random_pure,
     random_unitary,

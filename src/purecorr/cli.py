@@ -211,6 +211,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """Argument type of the seed flags: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expects a nonnegative integer, got {text!r}"
+        )
+    return seed
+
+
 def cmd_verify(ns) -> int:
     dims = _parse_dims(ns.dims)
     if ns.theorem == 1:
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_file")
     p.add_argument("--ancilla-dims", default=None, metavar="C1,C2",
                    help="split the ancilla into two factors of these dimensions")
-    p.add_argument("--unitary-seed", type=int, default=None, metavar="S",
+    p.add_argument("--unitary-seed", type=_seed, default=None, metavar="S",
                    help="apply a seeded Haar unitary on the ancilla")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the purified state file here instead of stdout")
@@ -308,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--dims", required=True, metavar="dAxdB")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tol", type=_tolerance, default=FACTORABLE_TOL,
                    help="factorability tolerance on ||Delta||_F")
     p.set_defaults(func=cmd_verify)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-a", required=True, metavar="NAME|FILE")
     p.add_argument("--obs-b", required=True, metavar="NAME|FILE")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--trace-out", default=None, metavar="LABELS",
                    help="comma-separated factor labels to trace out first")
     p.set_defaults(func=cmd_sample)

@@ -25,8 +25,8 @@ from .states import (
     PureState,
     _trusted,
     random_density,
+    random_isometry,
     random_product_state,
-    random_unitary,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ RANK_TOL = 1e-7
 EIG_CLIP = 1e-9
 #: Frobenius tolerance for tracing a purification back to its state.
 RECOVERY_TOL = 1e-10
-#: Frobenius tolerance (times sqrt(dim)) for unitarity checks.
+#: Frobenius tolerance (times sqrt(columns)) for unitarity and isometry checks.
 UNITARY_TOL = 1e-10
 
 
@@ -177,23 +177,36 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
 
 
 def apply_ancilla_unitary(p: Purification, u) -> Purification:
-    """Apply I (x) U with U acting on the combined ancilla factors.
+    """Apply a unitary or isometry U on the combined ancilla factors.
 
-    The result purifies the same original state; that contract is re-checked
-    by the Purification constructor.
+    ``u`` is ``dc x r`` with orthonormal columns, ``1 <= r <= dc``, and maps
+    the first ``r`` ancilla basis states into the whole ancilla; ``r = dc``
+    is I (x) U.  Every amplitude must lie in those first ``r`` columns (a
+    zero-padded purification, see :func:`embed_ancilla`), else this raises
+    rather than drop it.  The result purifies the same original state; that
+    contract is re-checked by the Purification constructor.
     """
     dc = p.ancilla_dim
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dc, dc):
+    if u.ndim != 2 or u.shape[0] != dc or not 1 <= u.shape[1] <= dc:
         raise ValueError(
             f"unitary shape {u.shape} does not match ancilla dimension {dc}"
         )
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(dc)))
-    if defect > UNITARY_TOL * math.sqrt(dc):
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
+    r = u.shape[1]
+    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(r)))
+    if defect > UNITARY_TOL * math.sqrt(r):
+        raise ValueError(
+            f"matrix is not unitary: columns miss orthonormality by {defect:.3e}"
+        )
 
     system = p.system_positions
-    t = p.state.split(system) @ u.T  # row s becomes U @ psi[s, :]
+    m = p.state.split(system)
+    if np.any(m[:, r:]):
+        raise ValueError(
+            f"amplitude outside the first {r} ancilla basis states, "
+            f"which a {dc}x{r} isometry does not act on"
+        )
+    t = m[:, :r] @ u.T  # row s becomes U @ psi[s, :r]
     dims = p.state.factor_dims
     perm = system + [i for i in range(len(dims)) if i not in system]
     amps = t.reshape([dims[i] for i in perm]).transpose(np.argsort(perm)).reshape(-1)
@@ -247,27 +260,34 @@ def verify_purification_entanglement(
 
     For a non-factorable state, the claim is that every purification is
     entangled across (A C1 | B C2); the base purification embeds the
-    spectral one into ancillas with dim(C1) = dim(C2) = dim(AB) and the
-    trials apply seeded Haar unitaries on C1 C2 (trial 0 is the identity).
+    spectral one into ancillas with dim(C1) = dim(C2) = dim(AB), so its
+    amplitude fills only the first r = rank ancilla basis states.  Trial 0
+    is the identity; the others apply seeded Haar isometries from those r
+    states into C1 C2, distributed as the r columns of a Haar unitary on
+    C1 C2 that act on the base (the rest act on zeros).
     For a factorable state, the claim is that an unentangled purification
     exists; the factored construction with the identity unitary is that
-    witness, and the Haar trials just record how entangled the rest are.
+    witness, and full Haar unitaries on C1 C2 (r = dim C1 C2) just record
+    how entangled the rest are.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     factorable = is_factorable(rho, factorable_tol)
     if factorable:
         base = factored_purification(rho.marginal("A"), rho.marginal("B"))
+        support = base.ancilla_dim
     else:
         n = rho.dims.total
-        base = embed_ancilla(purify(rho), (n, n))
+        spectral = purify(rho)
+        support = spectral.ancilla_dim
+        base = embed_ancilla(spectral, (n, n))
     dc = base.ancilla_dim
     cut = ("A", "C1")
 
     reports: list[tuple[str, EntanglementReport]] = []
     reports.append(("identity", cut_entanglement(base.state, cut)))
     for i, sub in enumerate(_sub_seeds(seed, trials)):
-        u = random_unitary(dc, sub)
+        u = random_isometry(dc, support, sub)
         sampled = apply_ancilla_unitary(base, u)
         reports.append((f"haar[{i}]", cut_entanglement(sampled.state, cut)))
 
@@ -297,7 +317,8 @@ def verify_purification_entanglement(
         claim=claim,
         ensemble=(
             f"one {da}x{db} state ({'factorable' if factorable else 'non-factorable'}), "
-            f"identity + {trials} Haar ancilla unitaries"
+            f"identity + {trials} Haar ancilla isometries on the "
+            f"rank-{support} support"
         ),
         seed=int(seed),
         trials=int(trials),
@@ -355,7 +376,7 @@ def entanglement_campaign(
         ensemble=(
             f"one Ginibre full-rank and one product state on "
             f"{dims.da}x{dims.db}, identity + {trials} Haar ancilla "
-            f"unitaries each"
+            f"isometries on the rank-r support each"
         ),
         seed=int(seed),
         trials=int(trials),

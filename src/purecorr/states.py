@@ -36,6 +36,7 @@ __all__ = [
     "random_pure",
     "random_density",
     "random_product_state",
+    "random_isometry",
     "random_unitary",
 ]
 
@@ -314,17 +315,26 @@ def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     return BipartiteState(DensityMatrix(np.kron(a, b)), dims)
 
 
-def random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix.
+def random_isometry(d: int, r: int, seed) -> np.ndarray:
+    """Haar-random isometry: ``d x r`` with orthonormal columns.
 
-    The QR phases are fixed by making R's diagonal real positive; without
-    that correction plain QR is not Haar-distributed.
+    The thin QR of a ``d x r`` complex Gaussian, with the phases fixed by
+    making R's diagonal real positive (without that correction plain QR is
+    not Haar-distributed).  Its columns are distributed as the first ``r``
+    columns of a Haar unitary, at O(d r^2) cost instead of O(d^3).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if not 1 <= r <= d:
+        raise ValueError(f"isometry width must be in [1, {d}], got {r}")
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    phases = np.diagonal(r).copy()
+    a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    q, upper = np.linalg.qr(a)
+    phases = np.diagonal(upper).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def random_unitary(d: int, seed) -> np.ndarray:
+    """Haar-random unitary: the square case ``random_isometry(d, d, seed)``."""
+    return random_isometry(d, d, seed)

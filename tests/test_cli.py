@@ -240,6 +240,39 @@ class TestToleranceFlag:
         assert "tolerance 0)" in capsys.readouterr().out
 
 
+def _seeded_argv(command, flag, value, state_file):
+    if command == "verify":
+        return ["verify", "--theorem", "1", "--dims", "2x2", "--trials", "2",
+                flag, value]
+    if command == "sample":
+        return ["sample", state_file, "--obs-a", "z", "--obs-b", "z",
+                "--trials", "10", flag, value]
+    return ["purify", state_file, flag, value]
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    @pytest.mark.parametrize("command,flag", [
+        ("verify", "--seed"), ("sample", "--seed"), ("purify", "--unitary-seed"),
+    ])
+    def test_rejected_with_flag_named(self, command, flag, value, eq2_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_seeded_argv(command, flag, value, eq2_file))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+        assert "nonnegative integer" in captured.err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("verify", "--seed"), ("sample", "--seed"), ("purify", "--unitary-seed"),
+    ])
+    def test_zero_and_large_accepted(self, command, flag, eq2_file, capsys):
+        for value in ("0", str(2**70)):
+            assert main(_seeded_argv(command, flag, value, eq2_file) + ["--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSample:
     def test_source_state_zz(self, eq2_file, capsys):
         rc = main([

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from purecorr.correlation import (
@@ -34,6 +36,27 @@ from purecorr.stateio import emit_state_file, parse_state_file
 
 SZ = named_observable("z")
 SX = named_observable("x")
+
+
+@st.composite
+def claim2_states(draw):
+    """Ginibre, product and near-product states on dims up to 3x3.
+
+    The near-product kind is (1 - eps) product + eps Ginibre with eps from
+    1e-3 down to 1e-12, so sigma1 shrinks toward the factorable boundary.
+    """
+    dims = DimPair(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["ginibre", "product", "near-product"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ginibre = random_density(dims, draw(st.integers(1, dims.total)), seed)
+    if kind == "ginibre":
+        return ginibre
+    product = random_product_state(dims, seed + 1)
+    if kind == "product":
+        return product
+    eps = 10.0 ** -draw(st.floats(3, 12))
+    mixed = (1 - eps) * product.matrix + eps * ginibre.matrix
+    return BipartiteState(DensityMatrix(mixed), dims)
 
 
 def ghz_marginal():
@@ -290,6 +313,12 @@ class TestBruteForce:
         rho = random_density(DimPair(*dims), dims[0] * dims[1], seed)
         w = synthesize_witness(rho)
         assert brute_force_max_covariance(rho, 2000, seed) <= w.sigma1 + 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(claim2_states(), st.integers(0, 2**32 - 1))
+    def test_never_beats_witness_property(self, rho, seed):
+        sigma1 = synthesize_witness(rho).sigma1
+        assert brute_force_max_covariance(rho, 2000, seed) <= sigma1 + 1e-9
 
     def test_deterministic(self):
         rho = random_density(DimPair(2, 2), 4, 9)

@@ -24,6 +24,7 @@ from purecorr.states import (
     ghz,
     random_density,
     random_product_state,
+    random_isometry,
     random_pure,
     random_unitary,
 )
@@ -162,6 +163,37 @@ class TestApplyAncillaUnitary:
         p = purify(example_source_state())
         with pytest.raises(ValueError, match="does not match"):
             apply_ancilla_unitary(p, np.eye(3))
+        with pytest.raises(ValueError, match="does not match"):
+            apply_ancilla_unitary(p, np.eye(2, 3))
+
+    @pytest.mark.parametrize("dims,rank,seed", [
+        ((2, 2), 4, 0), ((2, 2), 2, 1), ((2, 3), 3, 2), ((3, 3), 5, 3),
+    ])
+    def test_isometry_matches_unitary_on_padded_base(self, dims, rank, seed):
+        rho = random_density(DimPair(*dims), rank, seed)
+        n = rho.dims.total
+        base = embed_ancilla(purify(rho), (n, n))
+        u = random_unitary(n * n, seed + 10)
+        full = apply_ancilla_unitary(base, u)
+        thin = apply_ancilla_unitary(base, u[:, :rank])
+        assert np.max(np.abs(full.state.amplitudes - thin.state.amplitudes)) <= 1e-13
+
+    def test_rejects_non_isometry(self):
+        base = embed_ancilla(purify(example_source_state()), (2, 2))
+        with pytest.raises(ValueError, match="unitary"):
+            apply_ancilla_unitary(base, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="unitary"):
+            apply_ancilla_unitary(base, 2 * random_isometry(4, 2, 1))
+
+    def test_rejects_isometry_missing_amplitude(self):
+        # the spectral purification of a rank-2 state fills two ancilla
+        # basis states; an isometry on the first one alone would drop half
+        base = embed_ancilla(purify(example_source_state()), (2, 2))
+        with pytest.raises(ValueError, match="amplitude outside"):
+            apply_ancilla_unitary(base, random_isometry(4, 1, 1))
+        rotated = apply_ancilla_unitary(base, random_unitary(4, 2))
+        with pytest.raises(ValueError, match="amplitude outside"):
+            apply_ancilla_unitary(rotated, random_isometry(4, 2, 3))
 
     def test_can_entangle_factored_purification(self):
         # a factorable state has entangled purifications too: some seeded
@@ -279,6 +311,10 @@ class TestEntanglementCampaign:
     def test_asymmetric_and_larger_dims(self):
         assert entanglement_campaign(DimPair(2, 3), 3, 1).passed
         assert entanglement_campaign(DimPair(3, 3), 3, 2).passed
+
+    def test_eight_by_eight(self):
+        # 4096-dimensional ancilla: only the rank-64 support is sampled
+        assert entanglement_campaign(DimPair(8, 8), 1, 3).passed
 
 
 class TestPurificationInvariant:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purecorr.linalg import DimPair, multi_partial_trace
 from purecorr.states import (
@@ -15,6 +17,7 @@ from purecorr.states import (
     mix,
     random_density,
     random_product_state,
+    random_isometry,
     random_pure,
     random_unitary,
 )
@@ -255,3 +258,60 @@ class TestRandomUnitary:
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError, match=">= 1"):
             random_unitary(0, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_square_isometry_bits(self, seed):
+        for d in range(1, 65):
+            u = random_unitary(d, seed)
+            np.testing.assert_array_equal(u, random_isometry(d, d, seed))
+            np.testing.assert_array_equal(u, _reference_unitary(d, seed))
+
+
+def _phase_fixed_q(a):
+    q, r = np.linalg.qr(a)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def _reference_unitary(d, seed):
+    """Phase-fixed QR of a square complex Gaussian, drawn as random_unitary
+    has always drawn it; seeded outputs of the square case must not move."""
+    rng = np.random.default_rng(seed)
+    return _phase_fixed_q(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+@st.composite
+def isometry_shapes(draw):
+    d = draw(st.integers(1, 40))
+    return d, draw(st.integers(1, d)), draw(st.integers(0, 2**63 - 1))
+
+
+class TestRandomIsometry:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(isometry_shapes())
+    def test_orthonormal_and_deterministic(self, shape):
+        d, r, seed = shape
+        u = random_isometry(d, r, seed)
+        assert u.shape == (d, r)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(r))) <= 1e-12
+        np.testing.assert_array_equal(u, random_isometry(d, r, seed))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(isometry_shapes())
+    def test_leading_columns_of_a_haar_unitary(self, shape):
+        # completing the same d x r Gaussian to a square one and taking the
+        # phase-fixed QR gives a Haar unitary whose first r columns are the
+        # isometry: the QR of the leading columns does not see the rest
+        d, r, seed = shape
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        extra = np.random.default_rng(seed + 1).standard_normal((d, d - r))
+        full = _phase_fixed_q(np.hstack([a, extra]))
+        u = random_isometry(d, r, seed)
+        assert np.max(np.abs(full[:, :r] - u)) <= 1e-12
+
+    @pytest.mark.parametrize("d,r", [(0, 1), (3, 0), (3, 4)])
+    def test_rejects_bad_shape(self, d, r):
+        with pytest.raises(ValueError, match=">= 1|width"):
+            random_isometry(d, r, 1)

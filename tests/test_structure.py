@@ -6,13 +6,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import purecorr
-from purecorr import cli
+from purecorr import cli, purification, states
 from purecorr.correlation import synthesize_witness, verify_witness_criterion
 from purecorr.linalg import DimPair
-from purecorr.purification import entanglement_campaign
+from purecorr.purification import entanglement_campaign, verify_purification_entanglement
 from purecorr.states import DensityMatrix, PureState, random_density
 from purecorr.stateio import emit_state_file
 
@@ -190,3 +191,48 @@ def test_cli_purify_and_trace_out_form_no_dense_density(tmp_path, capsys, densit
     assert cli.main(["analyze", str(pure_path), "--trace-out", "C1,C2"]) == 0
     capsys.readouterr()
     assert densities == []
+
+
+@pytest.fixture
+def haar_draws(monkeypatch):
+    """Record (generator, d, r) of every Haar draw for the duration of a test.
+
+    Both generators are wrapped in every module that binds them, so calls
+    through an imported name are seen as well as calls inside ``states``.
+    """
+    calls = []
+    unitary = states.random_unitary
+    isometry = getattr(states, "random_isometry", None)
+
+    def counting_unitary(d, seed):
+        calls.append(("random_unitary", d, d))
+        return unitary(d, seed)
+
+    def counting_isometry(d, r, seed):
+        calls.append(("random_isometry", d, r))
+        return isometry(d, r, seed)
+
+    for module in (states, purification, cli):
+        for name, wrapped in (("random_unitary", counting_unitary),
+                              ("random_isometry", counting_isometry)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_purification_campaign_draws_isometries_on_the_support(haar_draws):
+    trials = 2
+    assert entanglement_campaign(DimPair(3, 3), trials, 4).passed
+    # the full-rank Ginibre state fills 9 of its 81 ancilla basis states;
+    # the product state's factored ancilla has 9 and is drawn whole
+    assert [c for c in haar_draws if c[0] == "random_unitary"] == []
+    assert haar_draws == (
+        [("random_isometry", 81, 9)] * trials + [("random_isometry", 9, 9)] * trials
+    )
+
+
+def test_rank_deficient_state_draws_rank_wide_isometries(haar_draws):
+    rho = random_density(DimPair(3, 3), 4, 6)
+    rank = int(np.linalg.matrix_rank(rho.matrix))
+    assert verify_purification_entanglement(rho, 3, 2).passed
+    assert haar_draws == [("random_isometry", 81, rank)] * 3
