@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import (
     DimPair,
+    _canonical_vectors,
     _tie_clusters,
+    _top_singular_vectors,
     hermitian_basis,
     hermitian_eig,
     operator_to_coefficient_matrix,
-    partial_trace,
-    svd,
     tensor_product,
 )
 from .reports import TheoremReport
@@ -72,6 +72,8 @@ OUTCOME_GROUP_TOL = 1e-8
 IMAG_TOL = 1e-10
 # A |covariance| above this makes two measurements correlated.
 _CORRELATED_TOL = 1e-9
+# Bytes of state matrices analysed in one stacked pass by the campaign.
+_STACK_BYTES = 1 << 24
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -131,18 +133,113 @@ class CorrelationWitness:
     correlation: CorrelationOperator
 
 
-def _real_trace(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
+def _real_trace(value, what: str) -> np.ndarray:
+    """Real part of a nominally real trace, or of a stack of them.
+
+    Raises when an imaginary residue exceeds IMAG_TOL.
+    """
+    value = np.asarray(value)
+    worst = value.imag.flat[np.argmax(np.abs(value.imag))]
+    if abs(worst) > IMAG_TOL:
         raise ValueError(
-            f"{what} has imaginary residue {value.imag:.3e} beyond {IMAG_TOL:.1e}"
+            f"{what} has imaginary residue {worst:.3e} beyond {IMAG_TOL:.1e}"
         )
-    return float(value.real)
+    return value.real
 
 
-def _pairing(delta: np.ndarray, e: Observable, f: Observable) -> float:
-    """Tr(Delta (E (x) F)): the covariance of E and F read from Delta."""
-    value = np.trace(delta @ tensor_product(e.matrix, f.matrix))
-    return _real_trace(complex(value), "covariance")
+def _pairing(delta: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Tr(Delta (E (x) F)) = sum Delta[ab,cd] E[c,a] F[d,b]: covariance from Delta.
+
+    One O(n^2) contraction per state, on single matrices or on stacks
+    ``(..., n, n)``, ``(..., da, da)``, ``(..., db, db)``: an entrywise
+    product with (E (x) F)^T and a sum, never a matrix product.
+    """
+    transposed = tensor_product(e.swapaxes(-1, -2), f.swapaxes(-1, -2))
+    return _real_trace(np.sum(delta * transposed, axis=(-2, -1)), "covariance")
+
+
+class _Correlations(NamedTuple):
+    """Marginals, Delta and ||Delta||_F of a stack of T states (leading axis)."""
+
+    rho_a: np.ndarray
+    rho_b: np.ndarray
+    delta: np.ndarray
+    norms: np.ndarray
+
+    def at(self, i: int, dims: DimPair) -> CorrelationOperator:
+        return _trusted(
+            CorrelationOperator,
+            delta=self.delta[i],
+            dims=dims,
+            frobenius_norm=float(self.norms[i]),
+            rho_a=self.rho_a[i],
+            rho_b=self.rho_b[i],
+        )
+
+
+def _correlations(matrices: np.ndarray, dims: DimPair) -> _Correlations:
+    """Correlation operators of a ``(T, n, n)`` stack of validated states."""
+    da, db = dims
+    t = matrices.reshape(-1, da, db, da, db)
+    # the same reductions as partial_trace, bit for bit, state by state
+    rho_a = np.trace(t, axis1=2, axis2=4)
+    rho_b = np.trace(t, axis1=1, axis2=3)
+    delta = matrices - tensor_product(rho_a, rho_b)
+    # per matrix, so that each norm is the one np.linalg.norm gives alone
+    norms = np.array([np.linalg.norm(d) for d in delta])
+    return _Correlations(rho_a, rho_b, delta, norms)
+
+
+def _schmidt_svd(delta: np.ndarray, dims: DimPair):
+    """Raw stacked SVD ``(s, u, v)`` of the coefficient matrices of Deltas.
+
+    ``delta`` is a ``(T, n, n)`` stack of Hermitian operators; their
+    coefficient matrices are real, and one ``np.linalg.svd`` call takes
+    them all.  ``v`` holds the right singular vectors as columns.
+    """
+    c = operator_to_coefficient_matrix(delta, dims)
+    imag = float(np.max(np.abs(c.imag)))
+    if imag > IMAG_TOL:
+        raise ValueError(
+            f"coefficient matrix has imaginary part {imag:.3e}; "
+            "input must be Hermitian"
+        )
+    u, s, vh = np.linalg.svd(c.real, full_matrices=False)
+    return s, u, vh.swapaxes(-1, -2)
+
+
+def _factors(vectors: np.ndarray, d: int) -> np.ndarray:
+    """Operators sum_m x_m G_m for each row x of ``vectors``, G the Hermitian basis."""
+    return np.einsum("km,mij->kij", vectors, hermitian_basis(d))
+
+
+class _Witnesses(NamedTuple):
+    """Top operator-Schmidt pair of each state of a stack (leading axis)."""
+
+    correlations: _Correlations
+    sigma1: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+    covariance: np.ndarray
+
+
+def _witnesses(matrices: np.ndarray, dims: DimPair) -> _Witnesses:
+    """The stacked analysis: witnesses of a ``(T, n, n)`` stack of validated states.
+
+    One pass: marginals, Delta and ||Delta||_F, the ``(T, da^2, db^2)``
+    coefficient matrices and one stacked SVD; then only the top tie
+    cluster of each state is made canonical, and E, F and the covariance
+    are built for that top pair alone.  Every step acts on each state
+    alone, so state i's result is bit for bit that of the batch of one.
+    """
+    corr = _correlations(matrices, dims)
+    s, u, v = _schmidt_svd(corr.delta, dims)
+    u0, v0 = _top_singular_vectors(s, u, v)
+    e, f = _factors(u0, dims.da), _factors(v0, dims.db)
+    cov = _pairing(corr.delta, e, f)
+    flip = cov < 0
+    e[flip] = -e[flip]
+    return _Witnesses(corr, s[:, 0], e, f, np.where(flip, -cov, cov))
 
 
 def covariance(rho: BipartiteState, e: Observable, f: Observable) -> float:
@@ -157,7 +254,7 @@ def covariance(rho: BipartiteState, e: Observable, f: Observable) -> float:
             f"observable dimensions ({e.dim}, {f.dim}) do not match state dims "
             f"({da}, {db})"
         )
-    return _pairing(correlation_operator(rho).delta, e, f)
+    return float(_pairing(correlation_operator(rho).delta, e.matrix, f.matrix))
 
 
 def correlated(rho: BipartiteState, e: Observable, f: Observable) -> bool:
@@ -167,17 +264,7 @@ def correlated(rho: BipartiteState, e: Observable, f: Observable) -> bool:
 
 def correlation_operator(rho: BipartiteState) -> CorrelationOperator:
     """Difference between the state and the product of its marginals."""
-    rho_a = partial_trace(rho.matrix, rho.dims, "A")
-    rho_b = partial_trace(rho.matrix, rho.dims, "B")
-    delta = rho.matrix - tensor_product(rho_a, rho_b)
-    return _trusted(
-        CorrelationOperator,
-        delta=delta,
-        dims=rho.dims,
-        frobenius_norm=float(np.linalg.norm(delta)),
-        rho_a=rho_a,
-        rho_b=rho_b,
-    )
+    return _correlations(rho.matrix[None], rho.dims).at(0, rho.dims)
 
 
 def is_factorable(rho: BipartiteState, tol: float = FACTORABLE_TOL) -> bool:
@@ -192,21 +279,16 @@ def operator_schmidt(delta: CorrelationOperator) -> OperatorSchmidt:
     for Hermitian input; its SVD gives descending nonnegative coefficients
     and Hermitian, Hilbert-Schmidt-orthonormal operator factors.  The
     factors of a degenerate coefficient depend only on its singular
-    subspace (see :func:`purecorr.linalg.svd`).
+    subspace (see :func:`purecorr.linalg.svd`).  All pairs are built; the
+    witness needs only the first (see :func:`synthesize_witness`).
     """
-    da, db = delta.dims
-    c = operator_to_coefficient_matrix(delta.delta, delta.dims)
-    imag = float(np.max(np.abs(c.imag)))
-    if imag > IMAG_TOL:
-        raise ValueError(
-            f"coefficient matrix has imaginary part {imag:.3e}; "
-            "input must be Hermitian"
-        )
-    sd = svd(c.real)
-    mats_a = np.einsum("mk,mij->kij", sd.left_vectors, hermitian_basis(da))
-    mats_b = np.einsum("nk,nij->kij", sd.right_vectors, hermitian_basis(db))
+    s, u, v = _schmidt_svd(delta.delta[None], delta.dims)
+    s, u, v = s[0], u[0], v[0]
+    _canonical_vectors(s, u, v)
+    mats_a = _factors(u.T, delta.dims.da)
+    mats_b = _factors(v.T, delta.dims.db)
     return OperatorSchmidt(
-        coefficients=sd.singular_values,
+        coefficients=s,
         ops_a=tuple(_trusted(Observable, matrix=m) for m in mats_a),
         ops_b=tuple(_trusted(Observable, matrix=m) for m in mats_b),
     )
@@ -220,16 +302,18 @@ def synthesize_witness(rho: BipartiteState) -> CorrelationWitness:
     are zero exactly when the state is factorable.  When the top coefficient
     is degenerate (as for every entangled pure state), the pair depends only
     on its singular subspace, so it is stable under a last-bit change of
-    rho.  The sign is fixed so the covariance is nonnegative.
+    rho.  The sign is fixed so the covariance is nonnegative.  This is the
+    batch of one of the stacked analysis that
+    :func:`verify_witness_criterion` runs.
     """
-    corr = correlation_operator(rho)
-    schmidt = operator_schmidt(corr)
-    e, f = schmidt.ops_a[0], schmidt.ops_b[0]
-    cov = _pairing(corr.delta, e, f)
-    if cov < 0:
-        e = _trusted(Observable, matrix=-e.matrix)
-        cov = -cov
-    return CorrelationWitness(e, f, cov, float(schmidt.coefficients[0]), corr)
+    w = _witnesses(rho.matrix[None], rho.dims)
+    return CorrelationWitness(
+        _trusted(Observable, matrix=w.e[0]),
+        _trusted(Observable, matrix=w.f[0]),
+        float(w.covariance[0]),
+        float(w.sigma1[0]),
+        w.correlations.at(0, rho.dims),
+    )
 
 
 def _unit_hermitian_batch(
@@ -436,37 +520,34 @@ def verify_witness_criterion(
     dims = DimPair(*dims)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    state = np.random.SeedSequence(seed).generate_state(2 * trials, dtype=np.uint64)
+    seeds = np.random.SeedSequence(seed).generate_state(2 * trials, dtype=np.uint64)
+
+    def draw(i: int) -> BipartiteState:
+        if i < trials:
+            return random_density(dims, dims.total, int(seeds[i]))
+        return random_product_state(dims, int(seeds[i]))
+
     counterexamples: list[str] = []
-    min_cov_nonfactorable = math.inf
-    max_cov_factorable = 0.0
+    cov_factorable, cov_nonfactorable = [0.0], []
+    # One stacked pass unless the states outgrow _STACK_BYTES; chunking
+    # leaves every result unchanged, since each is that of a batch of one.
+    chunk = max(1, _STACK_BYTES // (16 * dims.total**2))
+    for lo in range(0, 2 * trials, chunk):
+        batch = range(lo, min(lo + chunk, 2 * trials))
+        w = _witnesses(np.stack([draw(i).matrix for i in batch]), dims)
+        norms = w.correlations.norms.tolist()
+        for i, norm, cov in zip(batch, norms, np.abs(w.covariance).tolist()):
+            factorable = norm <= factorable_tol
+            (cov_factorable if factorable else cov_nonfactorable).append(cov)
+            if (cov > WITNESS_TOL) == factorable:
+                kind, index = ("ginibre", i) if i < trials else ("product", i - trials)
+                counterexamples.append(
+                    f"{kind}[{index}]: |covariance| {cov:.3e} vs ||Delta|| {norm:.3e}"
+                )
 
-    def check(rho: BipartiteState, kind: str, index: int) -> None:
-        nonlocal min_cov_nonfactorable, max_cov_factorable
-        witness = synthesize_witness(rho)
-        norm = witness.correlation.frobenius_norm
-        factorable = norm <= factorable_tol
-        significant = abs(witness.covariance) > WITNESS_TOL
-        if factorable:
-            max_cov_factorable = max(max_cov_factorable, abs(witness.covariance))
-        else:
-            min_cov_nonfactorable = min(
-                min_cov_nonfactorable, abs(witness.covariance)
-            )
-        if significant == factorable:
-            counterexamples.append(
-                f"{kind}[{index}]: |covariance| {abs(witness.covariance):.3e} vs "
-                f"||Delta|| {norm:.3e}"
-            )
-
-    for t in range(trials):
-        check(random_density(dims, dims.total, int(state[t])), "ginibre", t)
-    for t in range(trials):
-        check(random_product_state(dims, int(state[trials + t])), "product", t)
-
-    stats = {"max_covariance_factorable": max_cov_factorable}
-    if math.isfinite(min_cov_nonfactorable):
-        stats["min_covariance_nonfactorable"] = min_cov_nonfactorable
+    stats = {"max_covariance_factorable": max(cov_factorable)}
+    if cov_nonfactorable:
+        stats["min_covariance_nonfactorable"] = min(cov_nonfactorable)
     return TheoremReport(
         theorem=2,
         claim="a correlated measurement pair exists iff the state is non-factorable",

@@ -122,9 +122,15 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the global slow-first index convention.
 
-    ``(A (x) B)[a*rb + b, a'*cb + b'] == A[a, a'] * B[b, b']``.
+    ``(A (x) B)[a*rb + b, a'*cb + b'] == A[a, a'] * B[b, b']``.  Leading
+    axes are a stack: ``(..., ra, ca)`` and ``(..., rb, cb)`` give
+    ``(..., ra*rb, ca*cb)``, one product per stacked (broadcast) pair.  One
+    broadcast multiply, bit for bit ``np.kron`` on single matrices.
     """
-    return np.kron(_as_complex(a), _as_complex(b))
+    a, b = _as_complex(a), _as_complex(b)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], ra * rb, ca * cb)
 
 
 def multi_partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -276,6 +282,33 @@ def svd(m) -> SvdDecomposition:
     return SvdDecomposition(s, u, v)
 
 
+def _top_singular_vectors(
+    s: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First left and right singular vectors of each SVD in a stack, canonical.
+
+    ``s``, ``u`` and ``v`` are ``(T, k)``, ``(T, m, k)`` and ``(T, n, k)``
+    stacks as from ``np.linalg.svd`` (``v`` holds the right vectors as
+    columns).  Returns ``(T, m)`` and ``(T, n)``: for each SVD the column 0
+    that :func:`svd` would give, bit for bit.  Only the top tie cluster
+    matters for it; a cluster of one needs only the phase rule, applied
+    to the whole stack at once, and a degenerate one is rebuilt by
+    :func:`_canonical_vectors` on that cluster alone.  Inputs are not
+    modified.
+    """
+    u0, v0 = u[:, :, 0].T, v[:, :, 0].T  # column t: state t's vectors
+    phases = _column_phases(u0)
+    u0, v0 = u0 * phases, v0 * phases
+    top = s[:, :1]
+    sizes = np.count_nonzero(np.abs(top - s) <= _TIE_TOL * top, axis=1)
+    for t in np.flatnonzero(sizes > 1):
+        k = sizes[t]
+        ut, vt = u[t, :, :k].copy(), v[t, :, :k].copy()
+        _canonical_vectors(s[t, :k], ut, vt)
+        u0[:, t], v0[:, t] = ut[:, 0], vt[:, 0]
+    return u0.T, v0.T
+
+
 @functools.cache
 def hermitian_basis(d: int) -> np.ndarray:
     """Hermitian operator basis, orthonormal in the Hilbert-Schmidt sense.
@@ -313,20 +346,24 @@ def operator_to_coefficient_matrix(m, dims: DimPair | Sequence[int]) -> np.ndarr
     Returns the da^2 x db^2 matrix ``c`` with
     ``c[k, l] = Tr((G_k (x) H_l)^dagger M)``, so that
     ``M = sum_kl c[k, l] G_k (x) H_l``, where ``G`` and ``H`` are the
-    :func:`hermitian_basis` of each factor.
+    :func:`hermitian_basis` of each factor.  A ``(..., n, n)`` stack of
+    operators gives a ``(..., da^2, db^2)`` stack, each entry bit for bit
+    the coefficients of that operator alone.
     """
     dims = DimPair(*dims)
-    a = _as_square(m)
-    if a.shape[0] != dims.total:
+    a = np.asarray(m)
+    if a.ndim < 2 or a.shape[-2:] != (dims.total, dims.total):
         raise ValueError(
-            f"matrix dimension {a.shape[0]} does not match dims {dims}"
+            f"operator shape {a.shape} does not match dims {dims}: expected "
+            f"(..., {dims.total}, {dims.total})"
         )
     ga = hermitian_basis(dims.da).reshape(dims.da * dims.da, -1)
     hb = hermitian_basis(dims.db).reshape(dims.db * dims.db, -1)
     # R[(a,a'), (b,b')] = M[(a,b), (a',b')]
+    batch = a.shape[:-2]
     r = (
-        a.reshape(dims.da, dims.db, dims.da, dims.db)
-        .transpose(0, 2, 1, 3)
-        .reshape(dims.da * dims.da, dims.db * dims.db)
+        a.reshape(*batch, dims.da, dims.db, dims.da, dims.db)
+        .swapaxes(-3, -2)
+        .reshape(*batch, dims.da * dims.da, dims.db * dims.db)
     )
     return ga.conj() @ r @ hb.conj().T

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .correlation import FACTORABLE_TOL, is_factorable
-from .linalg import DimPair, hermitian_eig
+from .linalg import DimPair, hermitian_eig, tensor_product
 from .reports import TheoremReport
 from .states import (
     BipartiteState,
@@ -145,7 +145,7 @@ def factored_purification(
     amps = np.einsum("ac,bd->abcd", phi1, phi2).reshape(-1)
     da, db = rho_a.dim, rho_b.dim
     layout = (("A", da), ("B", db), ("C1", da), ("C2", db))
-    kron = _trusted(DensityMatrix, matrix=np.kron(rho_a.matrix, rho_b.matrix))
+    kron = _trusted(DensityMatrix, matrix=tensor_product(rho_a.matrix, rho_b.matrix))
     product = BipartiteState(kron, DimPair(da, db))
     return Purification(PureState(amps, layout), product)
 
@@ -235,8 +235,15 @@ def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
     lam = s * s
     if abs(float(lam.sum()) - 1.0) > 1e-9:
         raise ValueError(f"squared Schmidt coefficients sum to {lam.sum():.12g}")
+    # A squared coefficient within rounding of 1 or of 0 carries no
+    # entropy, only noise: the singular values are accurate to about
+    # max(shape) * eps, so only those measurably above 0 whose squares sit
+    # measurably below 1 count.  The sum is then never negative or -0.0.
+    noise = max(m.shape) * np.finfo(float).eps
     positive = lam[lam > 0.0]
-    entropy = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
+    bits = -positive * np.log2(positive)
+    measurable = (positive > noise * noise) & (positive < 1.0 - noise)
+    entropy = float(np.where(measurable, bits, 0.0).sum())
     rank = int(np.count_nonzero(s > RANK_TOL))
     s = s.copy()
     s.flags.writeable = False

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimPair, partial_trace, require_hermitian
+from .linalg import DimPair, partial_trace, require_hermitian, tensor_product
 
 __all__ = [
     "GENERATOR_NAME",
@@ -312,7 +312,7 @@ def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     rng = np.random.default_rng(seed)
     a = _ginibre_density(dims.da, dims.da, rng)
     b = _ginibre_density(dims.db, dims.db, rng)
-    return BipartiteState(DensityMatrix(np.kron(a, b)), dims)
+    return BipartiteState(DensityMatrix(tensor_product(a, b)), dims)
 
 
 def random_isometry(d: int, r: int, seed) -> np.ndarray:

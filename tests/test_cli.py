@@ -177,6 +177,19 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["counterexamples"] == []
 
+    def test_theorem_1_product_entropies_print_as_zero(self, capsys):
+        # 1x1 printed -0.0 and -6.4e-16 bits of rounding noise
+        rc = main([
+            "verify", "--theorem", "1", "--dims", "1x1",
+            "--trials", "2", "--seed", "1", "--json",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        entropies = {k: v for k, v in json.loads(out)["stats"].items()
+                     if k.endswith("entropy_bits")}
+        assert entropies and set(entropies.values()) == {0.0}
+
     def test_json_report_reproducible(self, capsys):
         args = [
             "verify", "--theorem", "2", "--dims", "2x2",

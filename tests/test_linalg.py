@@ -19,6 +19,7 @@ from purecorr.linalg import (
     operator_to_coefficient_matrix,
     partial_trace,
     require_hermitian,
+    _top_singular_vectors,
     svd,
     tensor_product,
 )
@@ -83,6 +84,22 @@ def naive_multi_trace(m, dims, keep):
 
 
 class TestTensorProduct:
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((1, 4), (3, 1)), ((4, 4), (4, 4))])
+    def test_bits_of_np_kron(self, shapes):
+        rng = np.random.default_rng(5)
+        a = random_complex(rng, shapes[0])
+        b = random_complex(rng, shapes[1])
+        assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    def test_stack_is_one_product_per_pair(self):
+        rng = np.random.default_rng(6)
+        a = random_complex(rng, (5, 2, 3))
+        b = random_complex(rng, (5, 3, 2))
+        out = tensor_product(a, b)
+        assert out.shape == (5, 6, 6)
+        for i in range(5):
+            assert out[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+
     def test_identity(self):
         np.testing.assert_array_equal(
             tensor_product(np.eye(2), np.eye(2)), np.eye(4)
@@ -383,6 +400,43 @@ class TestCoefficientMatrix:
         )
         back = self.naive_operator(c, basis_a, basis_b)
         assert np.linalg.norm(back - m) / np.linalg.norm(m) <= 1e-10
+
+
+    @pytest.mark.parametrize("dims", [(1, 3), (2, 2), (3, 2), (4, 4)])
+    def test_stack_is_each_matrix_alone(self, dims):
+        rng = np.random.default_rng(7)
+        n = dims[0] * dims[1]
+        stack = np.stack([random_hermitian(rng, n) for _ in range(6)])
+        c = operator_to_coefficient_matrix(stack, dims)
+        assert c.shape == (6, dims[0] ** 2, dims[1] ** 2)
+        for i in range(6):
+            alone = operator_to_coefficient_matrix(stack[i], dims)
+            assert c[i].tobytes() == alone.tobytes()
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not match dims"):
+            operator_to_coefficient_matrix(np.eye(4), DimPair(2, 3))
+        with pytest.raises(ValueError, match="does not match dims"):
+            operator_to_coefficient_matrix(np.ones(6), DimPair(2, 3))
+
+
+class TestTopSingularVectors:
+    def test_equals_first_column_of_svd(self):
+        rng = np.random.default_rng(8)
+        generic = rng.standard_normal((4, 5))
+        tied = np.diag([2.0, 2.0, 1.0, 0.5])  # a degenerate top cluster
+        rot = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        tied = np.hstack([rot @ tied @ rot.T, np.zeros((4, 1))])
+        zero = np.zeros((4, 5))
+        stack = np.stack([generic, tied, zero, -generic])
+        u, s, vh = np.linalg.svd(stack, full_matrices=False)
+        before = (u.copy(), vh.copy())
+        u0, v0 = _top_singular_vectors(s, u, vh.swapaxes(-1, -2))
+        for i, m in enumerate(stack):
+            ref = svd(m)
+            assert u0[i].tobytes() == ref.left_vectors[:, 0].tobytes()
+            assert v0[i].tobytes() == ref.right_vectors[:, 0].tobytes()
+        assert np.array_equal(u, before[0]) and np.array_equal(vh, before[1])
 
 
 class TestRequireHermitian:

@@ -1,6 +1,7 @@
 """Tests for purification constructions and cut entanglement."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ from purecorr.states import (
     random_pure,
     random_unitary,
 )
+
+
+@pytest.mark.parametrize("dims,seed", [((1, 1), 1), ((2, 2), 1), ((2, 2), 0)])
+def test_campaign_entropies_are_never_negative_or_negative_zero(dims, seed):
+    # 1x1 (seed 1) printed -0.0 and -6.4e-16 bits; 2x2 product trials printed
+    # 3.2e-16 (seed 1) and -6.4e-16 (seed 0) bits
+    report = entanglement_campaign(DimPair(*dims), 2, seed)
+    stats = {k: v for k, v in report.stats.items() if k.endswith("entropy_bits")}
+    assert stats
+    for key, value in stats.items():
+        assert math.copysign(1.0, value) == 1.0, key
+    # every 1x1 trial is a product; elsewhere the factored purification is
+    zero = [k for k in stats if dims == (1, 1) or k == "product_identity_entropy_bits"]
+    assert zero and all(stats[k] == 0.0 for k in zero)
 
 
 def trace_out_ancillas(p):
@@ -233,6 +248,27 @@ class TestCutEntanglement:
         assert rep.schmidt_rank == 1
         assert not rep.entangled
         assert rep.entropy_bits <= 1e-12
+
+    def test_product_state_entropy_is_exactly_zero(self):
+        # the top squared coefficient rounds to within an ulp or two of 1,
+        # which used to leave +-1e-16 bits (or -0.0) of pure noise
+        for da, db in [(1, 1), (2, 2), (2, 3), (3, 3)]:
+            for seed in range(8):
+                p = factored_purification(
+                    *(random_product_state(DimPair(da, db), seed).marginal(k) for k in "AB")
+                )
+                rep = cut_entanglement(p.state, ("A", "C1"))
+                assert math.copysign(1.0, rep.entropy_bits) == 1.0
+                assert rep.entropy_bits == 0.0
+
+    def test_weak_entanglement_is_still_counted(self):
+        delta = 1e-6  # squared coefficients 1 - 1e-12 and 1e-12
+        amps = np.zeros(4)
+        amps[0], amps[3] = math.sqrt(1 - delta**2), delta
+        rep = cut_entanglement(PureState(amps, (("A", 2), ("B", 2))), ("A",))
+        p = delta**2
+        expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+        assert rep.entropy_bits == pytest.approx(expected, rel=1e-3)
 
     def test_cut_must_match_layout(self):
         with pytest.raises(ValueError, match="does not match"):

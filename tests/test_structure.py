@@ -1,6 +1,7 @@
 """Module layering and validation-at-the-boundary checks."""
 
 import ast
+import importlib
 import subprocess
 import sys
 import textwrap
@@ -146,6 +147,20 @@ def test_witness_campaign_validates_each_state_once(validations):
     assert len(validations) == 2 * trials
 
 
+def test_witness_campaign_makes_one_svd_call(monkeypatch):
+    shapes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    trials = 4
+    verify_witness_criterion(DimPair(2, 3), trials, 5)
+    assert shapes == [(2 * trials, 4, 9)]
+
+
 def test_witness_of_validated_state_validates_nothing(validations):
     rho = random_density(DimPair(3, 2), 6, 1)
     del validations[:]
@@ -236,3 +251,41 @@ def test_rank_deficient_state_draws_rank_wide_isometries(haar_draws):
     rank = int(np.linalg.matrix_rank(rho.matrix))
     assert verify_purification_entanglement(rho, 3, 2).passed
     assert haar_draws == [("random_isometry", 81, rank)] * 3
+
+
+TRACING = PACKAGE_DIR.parent.parent / "bench" / "tracing.py"
+
+
+def _traced(list_name: str) -> list[tuple[str, str]]:
+    """(owner, attribute) of each entry of a list in bench/tracing.py, read with ast.
+
+    The owner is written as in the file: a module name (``correlation``) or
+    a module and a class (``states.DensityMatrix``).
+    """
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [list_name]:
+            return [(ast.unparse(e.elts[0]), ast.literal_eval(e.elts[1])) for e in node.value.elts]
+    raise AssertionError(f"{list_name} not found in {TRACING}")
+
+
+def test_traced_functions_exist():
+    traced = _traced("FUNCTIONS")
+    assert traced
+    missing = [
+        (owner, attr) for owner, attr in traced
+        if not callable(getattr(importlib.import_module(f"purecorr.{owner}"), attr, None))
+    ]
+    assert missing == [], "bench/tracing.py traces functions purecorr no longer has"
+
+
+def test_traced_methods_exist():
+    traced = _traced("METHODS")
+    assert traced
+    missing = []
+    for owner, attr in traced:
+        module, cls = owner.split(".")
+        klass = getattr(importlib.import_module(f"purecorr.{module}"), cls, None)
+        if klass is None or attr not in vars(klass):
+            missing.append((owner, attr))
+    assert missing == [], "bench/tracing.py traces methods purecorr no longer has"
