@@ -33,9 +33,10 @@ from .reports import TheoremReport
 from .states import (
     BipartiteState,
     Observable,
+    _ginibre_densities,
+    _product_densities,
     _trusted,
-    random_density,
-    random_product_state,
+    _validate_densities,
 )
 
 __all__ = [
@@ -520,21 +521,24 @@ def verify_witness_criterion(
     dims = DimPair(*dims)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = np.random.SeedSequence(seed).generate_state(2 * trials, dtype=np.uint64)
-
-    def draw(i: int) -> BipartiteState:
-        if i < trials:
-            return random_density(dims, dims.total, int(seeds[i]))
-        return random_product_state(dims, int(seeds[i]))
+    seeds = np.random.SeedSequence(seed).generate_state(2 * trials, dtype=np.uint64).tolist()
 
     counterexamples: list[str] = []
     cov_factorable, cov_nonfactorable = [0.0], []
     # One stacked pass unless the states outgrow _STACK_BYTES; chunking
     # leaves every result unchanged, since each is that of a batch of one.
+    # Each chunk is drawn and validated as one stack: Ginibre states, then
+    # product states, each bit for bit random_density / random_product_state.
     chunk = max(1, _STACK_BYTES // (16 * dims.total**2))
     for lo in range(0, 2 * trials, chunk):
         batch = range(lo, min(lo + chunk, 2 * trials))
-        w = _witnesses(np.stack([draw(i).matrix for i in batch]), dims)
+        mid = min(max(lo, trials), batch.stop)
+        rhos = np.concatenate([
+            _ginibre_densities(seeds[lo:mid], dims, dims.total),
+            _product_densities(seeds[mid:batch.stop], dims),
+        ])
+        _validate_densities(rhos, stacked=True)
+        w = _witnesses(rhos, dims)
         norms = w.correlations.norms.tolist()
         for i, norm, cov in zip(batch, norms, np.abs(w.covariance).tolist()):
             factorable = norm <= factorable_tol

@@ -80,40 +80,74 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
-def _as_matrix(m) -> np.ndarray:
-    """A 2-D float64 or complex128 array; real input stays real."""
+def _as_matrix(m, stacked: bool = False) -> np.ndarray:
+    """A 2-D float64 or complex128 array, or with ``stacked`` a 3-D stack of
+    them; real input stays real."""
     a = np.asarray(m)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    if a.ndim != 2 + stacked:
+        what = "a stack of matrices" if stacked else "a matrix"
+        raise ValueError(f"expected {what}, got shape {a.shape}")
     return a
 
 
-def _as_square(m) -> np.ndarray:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def _as_square(m, stacked: bool = False) -> np.ndarray:
+    a = _as_matrix(m, stacked)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def require_hermitian(m: np.ndarray) -> np.ndarray:
+def _first_failure(bad: np.ndarray) -> tuple[int, str] | None:
+    """Flat index and message prefix of the first set flag of ``bad``, or None.
+
+    ``bad`` holds one flag per matrix: 0-d for a single matrix, whose
+    messages get no prefix, or 1-d for a stack, whose messages name the
+    index of the first failing matrix.
+    """
+    if not bad.any():
+        return None
+    if bad.ndim == 0:
+        return 0, ""
+    k = int(np.argmax(bad))
+    return k, f"stack index {k}: "
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous ``(..., n, n)`` array."""
+    v = x.view(np.float64)
+    return np.sqrt((v * v).sum(axis=(-2, -1)))
+
+
+def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     """Return the matrix unchanged or raise if it is not Hermitian.
 
     The check is scale invariant: the defect is compared against
     ``HERMITIAN_TOL * max(1, ||m||_F)``.  Entries above 1 are first divided
     by the largest magnitude, so that neither norm overflows near the top
-    of the float range.  Non-finite entries are rejected.
+    of the float range.  Non-finite entries are rejected, with ``name``
+    naming the values in that message.  With ``stacked``, ``m`` is a
+    ``(T, n, n)`` stack, each matrix is judged alone, and a message names
+    the index of the first one that fails.
     """
-    a = _as_square(m)
-    peak = float(np.max(np.abs(a), initial=0.0))
-    if not math.isfinite(peak):
-        raise ValueError("matrix entries must be finite")
-    scale = max(1.0, peak)
-    unit = a / scale
-    defect = float(np.linalg.norm(unit - unit.conj().T))
-    if defect > HERMITIAN_TOL * max(1.0 / scale, float(np.linalg.norm(unit))):
+    a = _as_square(m, stacked)
+    peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        raise ValueError(f"{_first_failure(~finite)[1]}{name} entries must be finite")
+    scale = np.maximum(peak, 1.0)
+    unit = a / scale[..., None, None]
+    defect = _frobenius(unit - unit.conj().swapaxes(-1, -2))
+    if (defect <= HERMITIAN_TOL).all():
+        return a  # within the limit whatever the norm, since max(1, norm) >= 1
+    # A scaled matrix has an entry of modulus 1, so max(1, norm) here is
+    # max(1, ||m||_F) in the units of m.
+    failed = _first_failure(defect > HERMITIAN_TOL * np.maximum(_frobenius(unit), 1.0))
+    if failed:
+        k, where = failed
+        worst = float(defect.reshape(-1)[k]) * float(scale.reshape(-1)[k])
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect * scale:.3e} exceeds "
+            f"{where}matrix is not Hermitian: defect {worst:.3e} exceeds "
             f"{HERMITIAN_TOL:.1e} * max(1, norm)"
         )
     return a

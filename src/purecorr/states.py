@@ -17,7 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimPair, partial_trace, require_hermitian, tensor_product
+from .linalg import (
+    DimPair,
+    _first_failure,
+    partial_trace,
+    require_hermitian,
+    tensor_product,
+)
 
 __all__ = [
     "GENERATOR_NAME",
@@ -68,6 +74,35 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _validate_densities(m: np.ndarray, stacked: bool = False) -> None:
+    """Raise ValueError unless ``m`` is a density matrix.
+
+    With ``stacked``, ``m`` is a ``(T, n, n)`` stack and every matrix must
+    be one.  Each check (square, finite and Hermitian, unit trace,
+    positive semidefinite) runs once on the whole stack, the last as one
+    stacked ``eigvalsh``; a stack's message names the index of the first
+    state that fails.  A single complex128 matrix is the batch of one,
+    as :class:`DensityMatrix` validates it.
+    """
+    if m.ndim != 2 + stacked or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    require_hermitian(m, "density matrix", stacked)
+    trace = m.diagonal(0, -2, -1).sum(-1)
+    failed = _first_failure(np.abs(trace - 1.0) > TRACE_TOL)
+    if failed:
+        k, where = failed
+        tr = complex(trace.reshape(-1)[k])
+        raise ValueError(f"{where}density matrix trace must be 1, got {tr:.12g}")
+    smallest = np.linalg.eigvalsh(m)[..., 0]
+    failed = _first_failure(smallest < -PSD_TOL)
+    if failed:
+        k, where = failed
+        raise ValueError(
+            f"{where}density matrix is not positive semidefinite: "
+            f"smallest eigenvalue {float(smallest.reshape(-1)[k]):.3e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -76,20 +111,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        require_hermitian(m)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -PSD_TOL:
-            raise ValueError(
-                f"density matrix is not positive semidefinite: "
-                f"smallest eigenvalue {smallest:.3e}"
-            )
+        _validate_densities(m)
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -104,10 +126,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("observable entries must be finite")
-        require_hermitian(m)
+        m = require_hermitian(np.array(self.matrix, dtype=np.complex128), "observable")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -289,11 +308,43 @@ def random_pure(d: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v), (("A", int(d)),))
 
 
-def _ginibre_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return (m + m.conj().T) / 2.0
+def _normals(seeds: Sequence, shape: tuple[int, ...]) -> np.ndarray:
+    """``(len(seeds), *shape)`` standard normals, one generator per seed.
+
+    Row ``t`` is one ``standard_normal`` draw of ``shape`` from
+    ``default_rng(seeds[t])``, bit for bit the same values as consecutive
+    smaller draws from that generator.
+    """
+    x = np.empty((len(seeds), *shape))
+    for row, seed in zip(x, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return x
+
+
+def _ginibre(x: np.ndarray) -> np.ndarray:
+    """``G G^dagger / Tr`` for each ``G = x[t, 0] + i x[t, 1]`` of a ``(T, 2, n, r)`` stack."""
+    g = np.empty(x[:, 0].shape, dtype=np.complex128)
+    g.real, g.imag = x[:, 0], x[:, 1]  # the bits of x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= m.diagonal(0, -2, -1).sum(-1).real[:, None, None]
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _ginibre_densities(seeds: Sequence, dims: DimPair, rank: int) -> np.ndarray:
+    """``(len(seeds), n, n)`` unvalidated rank-``rank`` Ginibre states, one per seed."""
+    return _ginibre(_normals(seeds, (2, dims.total, rank)))
+
+
+def _product_densities(seeds: Sequence, dims: DimPair) -> np.ndarray:
+    """``(len(seeds), n, n)`` unvalidated products of full-rank Ginibre factors.
+
+    Each seed's one draw holds A's real and imaginary parts, then B's.
+    """
+    da, db = dims
+    x = _normals(seeds, (2 * da * da + 2 * db * db,))
+    a = _ginibre(x[:, : 2 * da * da].reshape(len(x), 2, da, da))
+    b = _ginibre(x[:, 2 * da * da :].reshape(len(x), 2, db, db))
+    return tensor_product(a, b)
 
 
 def random_density(dims: DimPair | Sequence[int], rank: int, seed) -> BipartiteState:
@@ -302,17 +353,13 @@ def random_density(dims: DimPair | Sequence[int], rank: int, seed) -> BipartiteS
     rank = int(rank)
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank must be in [1, {dims.total}], got {rank}")
-    rng = np.random.default_rng(seed)
-    return BipartiteState(DensityMatrix(_ginibre_density(dims.total, rank, rng)), dims)
+    return BipartiteState(DensityMatrix(_ginibre_densities([seed], dims, rank)[0]), dims)
 
 
 def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     """Exactly factorable random state: independent full-rank factors."""
     dims = DimPair(*dims)
-    rng = np.random.default_rng(seed)
-    a = _ginibre_density(dims.da, dims.da, rng)
-    b = _ginibre_density(dims.db, dims.db, rng)
-    return BipartiteState(DensityMatrix(tensor_product(a, b)), dims)
+    return BipartiteState(DensityMatrix(_product_densities([seed], dims)[0]), dims)
 
 
 def random_isometry(d: int, r: int, seed) -> np.ndarray:

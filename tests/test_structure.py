@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import purecorr
-from purecorr import cli, purification, states
+from purecorr import cli, correlation, purification, states
 from purecorr.correlation import synthesize_witness, verify_witness_criterion
 from purecorr.linalg import DimPair
 from purecorr.purification import entanglement_campaign, verify_purification_entanglement
-from purecorr.states import DensityMatrix, PureState, random_density
+from purecorr.states import PureState, random_density
 from purecorr.stateio import emit_state_file
 
 PACKAGE_DIR = Path(purecorr.__file__).parent
@@ -129,15 +129,21 @@ def test_stateio_does_not_import_correlation():
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Count DensityMatrix validations for the duration of a test."""
+    """Record each state that passes density validation during a test.
+
+    Every density is validated by ``states._validate_densities``, a single
+    matrix (``DensityMatrix``) as a batch of one and a campaign's states as
+    one stack; the validator is wrapped in every module that binds it.
+    """
     calls = []
-    original = DensityMatrix.__post_init__
+    original = states._validate_densities
 
-    def counting(self):
-        calls.append(self)
-        original(self)
+    def counting(m, stacked=False):
+        calls.extend(m if stacked else [m])
+        original(m, stacked)
 
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    for module in (states, correlation):
+        monkeypatch.setattr(module, "_validate_densities", counting)
     return calls
 
 
@@ -159,6 +165,26 @@ def test_witness_campaign_makes_one_svd_call(monkeypatch):
     trials = 4
     verify_witness_criterion(DimPair(2, 3), trials, 5)
     assert shapes == [(2 * trials, 4, 9)]
+
+
+def test_witness_campaign_draws_each_state_once_and_makes_one_eigvalsh_call(monkeypatch):
+    rngs, eigvalsh_shapes = [], []
+    default_rng, eigvalsh = np.random.default_rng, np.linalg.eigvalsh
+
+    def counting_rng(*args, **kwargs):
+        rngs.append(args)
+        return default_rng(*args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    trials = 4
+    verify_witness_criterion(DimPair(2, 3), trials, 5)
+    assert len(rngs) == 2 * trials
+    assert eigvalsh_shapes == [(2 * trials, 6, 6)]
 
 
 def test_witness_of_validated_state_validates_nothing(validations):
