@@ -23,7 +23,7 @@ from .correlation import (
     to_projective,
     verify_witness_criterion,
 )
-from .linalg import DimPair, hermitian_eig
+from .linalg import DimPair, _hermitian_eig
 from .purification import (
     apply_ancilla_unitary,
     cut_entanglement,
@@ -89,8 +89,8 @@ def cmd_analyze(ns) -> int:
     witness = synthesize_witness(rho)
     delta = witness.correlation
     factorable = delta.frobenius_norm <= ns.tol
-    eig_a = hermitian_eig(delta.rho_a).eigenvalues
-    eig_b = hermitian_eig(delta.rho_b).eigenvalues
+    eig_a = _hermitian_eig(delta.rho_a).eigenvalues
+    eig_b = _hermitian_eig(delta.rho_b).eigenvalues
 
     payload = {
         "dims": [rho.dims.da, rho.dims.db],

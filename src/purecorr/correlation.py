@@ -22,10 +22,10 @@ import numpy as np
 from .linalg import (
     DimPair,
     _canonical_vectors,
+    _hermitian_eig,
     _tie_clusters,
     _top_singular_vectors,
     hermitian_basis,
-    hermitian_eig,
     operator_to_coefficient_matrix,
     tensor_product,
 )
@@ -363,7 +363,7 @@ def to_projective(obs: Observable) -> list[tuple[float, np.ndarray]]:
     single outcome (labeled by their mean) with the summed projector, so the
     projectors are idempotent, mutually orthogonal and resolve the identity.
     """
-    vals, vecs = hermitian_eig(obs.matrix)
+    vals, vecs = _hermitian_eig(obs.matrix)
     return [
         (float(vals[i:j].mean()), vecs[:, i:j] @ vecs[:, i:j].conj().T)
         for i, j in _tie_clusters(vals, OUTCOME_GROUP_TOL)

@@ -290,7 +290,16 @@ def hermitian_eig(m) -> EigDecomposition:
     depend on how the solver chose a basis inside it.  Real symmetric input
     gives real eigenvectors.
     """
-    a = require_hermitian(m)
+    return _hermitian_eig(require_hermitian(m))
+
+
+def _hermitian_eig(a: np.ndarray) -> EigDecomposition:
+    """:func:`hermitian_eig` of a matrix the library has already validated.
+
+    ``a`` is a square float64 or complex128 array known to be Hermitian,
+    such as the matrix of a ``DensityMatrix`` or an ``Observable``; it is
+    not checked again.
+    """
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]

@@ -16,17 +16,27 @@ from typing import Iterable
 
 import numpy as np
 
-from .correlation import FACTORABLE_TOL, is_factorable
-from .linalg import DimPair, hermitian_eig, tensor_product
+from . import correlation
+from .correlation import FACTORABLE_TOL, _correlations, is_factorable
+from .linalg import (
+    DimPair,
+    _first_failure,
+    _frobenius,
+    _hermitian_eig,
+    tensor_product,
+)
 from .reports import TheoremReport
 from .states import (
+    NORM_TOL,
     BipartiteState,
     DensityMatrix,
     PureState,
+    _ginibre_densities,
+    _isometries,
+    _product_densities,
+    _split,
     _trusted,
-    random_density,
-    random_isometry,
-    random_product_state,
+    _validate_densities,
 )
 
 __all__ = [
@@ -104,7 +114,7 @@ class Purification:
 
 def _clipped_spectrum(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues with noise clipped to 0, renormalized, plus vectors."""
-    eig = hermitian_eig(dm.matrix)
+    eig = _hermitian_eig(dm.matrix)
     lam = np.where(np.abs(eig.eigenvalues) <= EIG_CLIP, 0.0, eig.eigenvalues)
     lam = np.maximum(lam, 0.0)
     return lam / lam.sum(), eig.eigenvectors
@@ -176,27 +186,35 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
     return Purification(PureState(padded.reshape(-1), layout), p.original)
 
 
-def apply_ancilla_unitary(p: Purification, u) -> Purification:
-    """Apply a unitary or isometry U on the combined ancilla factors.
+def _ancilla_trials(
+    p: Purification, us: np.ndarray, identity: bool = False, stacked: bool = True
+) -> np.ndarray:
+    """Amplitudes of ``p`` with each isometry of a ``(T, dc, r)`` stack applied.
 
-    ``u`` is ``dc x r`` with orthonormal columns, ``1 <= r <= dc``, and maps
-    the first ``r`` ancilla basis states into the whole ancilla; ``r = dc``
-    is I (x) U.  Every amplitude must lie in those first ``r`` columns (a
-    zero-padded purification, see :func:`embed_ancilla`), else this raises
-    rather than drop it.  The result purifies the same original state; that
-    contract is re-checked by the Purification constructor.
+    Isometry ``t`` maps the first ``r`` ancilla basis states into the whole
+    ancilla.  Returns the resulting vectors as rows in p's layout order,
+    after ``p`` itself when ``identity``.  Each check runs once on the
+    whole stack: the isometries' columns are orthonormal, ``p`` has no
+    amplitude outside those ``r`` basis states, and every result is a
+    finite unit vector whose ancilla trace-out recovers ``p.original``.
+    With ``stacked``, a message names the index in ``us`` of the first
+    failure; without it, ``us`` holds one isometry and the messages are
+    those of a single one.
     """
-    dc = p.ancilla_dim
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != dc or not 1 <= u.shape[1] <= dc:
+
+    def failure(bad: np.ndarray):
+        return _first_failure(bad if stacked else bad[0])
+
+    dc, r = us.shape[1:]
+    gram = us.conj().swapaxes(-1, -2) @ us
+    gram -= np.eye(r)
+    defect = _frobenius(gram)
+    failed = failure(defect > UNITARY_TOL * math.sqrt(r))
+    if failed:
+        k, where = failed
         raise ValueError(
-            f"unitary shape {u.shape} does not match ancilla dimension {dc}"
-        )
-    r = u.shape[1]
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(r)))
-    if defect > UNITARY_TOL * math.sqrt(r):
-        raise ValueError(
-            f"matrix is not unitary: columns miss orthonormality by {defect:.3e}"
+            f"{where}matrix is not unitary: columns miss orthonormality by "
+            f"{float(defect[k]):.3e}"
         )
 
     system = p.system_positions
@@ -206,11 +224,93 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
             f"amplitude outside the first {r} ancilla basis states, "
             f"which a {dc}x{r} isometry does not act on"
         )
-    t = m[:, :r] @ u.T  # row s becomes U @ psi[s, :r]
+    out = np.empty((identity + len(us), *m.shape), dtype=np.complex128)
+    if identity:
+        out[0] = m
+    trials = out[identity:]
+    np.matmul(m[:, :r], us.swapaxes(-1, -2), out=trials)  # row s becomes U @ psi[s, :r]
+
+    # the system's reduced states, as PureState.reduced computes them; their
+    # traces are the squared norms of the vectors
+    rho = trials @ trials.conj().swapaxes(-1, -2)
+    squares = rho.diagonal(0, -2, -1).sum(-1).real
+    norms = np.sqrt(squares)
+    failed = failure(~np.isfinite(norms))
+    if failed:
+        raise ValueError(f"{failed[1]}amplitudes must be finite")
+    failed = failure(np.abs(norms - 1.0) > NORM_TOL)
+    if failed:
+        k, where = failed
+        raise ValueError(f"{where}state vector norm must be 1, got {norms[k]:.12g}")
+    rho /= squares[:, None, None]
+    defect = _frobenius(rho - p.original.matrix)
+    failed = failure(defect > RECOVERY_TOL)
+    if failed:
+        k, where = failed
+        raise ValueError(
+            f"{where}tracing out the ancillas misses the original state by "
+            f"{float(defect[k]):.3e} (Frobenius)"
+        )
+
     dims = p.state.factor_dims
     perm = system + [i for i in range(len(dims)) if i not in system]
-    amps = t.reshape([dims[i] for i in perm]).transpose(np.argsort(perm)).reshape(-1)
-    return Purification(PureState(amps, p.state.layout), p.original)
+    t = out.reshape(len(out), *(dims[i] for i in perm))
+    return t.transpose(0, *(1 + np.argsort(perm))).reshape(len(out), m.size)
+
+
+def apply_ancilla_unitary(p: Purification, u) -> Purification:
+    """Apply a unitary or isometry U on the combined ancilla factors.
+
+    ``u`` is ``dc x r`` with orthonormal columns, ``1 <= r <= dc``, and maps
+    the first ``r`` ancilla basis states into the whole ancilla; ``r = dc``
+    is I (x) U.  Every amplitude must lie in those first ``r`` columns (a
+    zero-padded purification, see :func:`embed_ancilla`), else this raises
+    rather than drop it.  The result purifies the same original state;
+    that contract is re-checked.  The batch of one of the stacked trials
+    that :func:`verify_purification_entanglement` runs.
+    """
+    dc = p.ancilla_dim
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != dc or not 1 <= u.shape[1] <= dc:
+        raise ValueError(
+            f"unitary shape {u.shape} does not match ancilla dimension {dc}"
+        )
+    amps = _ancilla_trials(p, u[None], stacked=False)[0]
+    state = _trusted(PureState, amplitudes=amps, layout=p.state.layout)
+    return _trusted(Purification, state=state, original=p.original)
+
+
+def _schmidt_report(s: np.ndarray, shape: tuple[int, int]) -> EntanglementReport:
+    """Report on the singular values ``s`` of one ``shape`` cut matrix."""
+    lam = s * s
+    if abs(float(lam.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"squared Schmidt coefficients sum to {lam.sum():.12g}")
+    # A squared coefficient within rounding of 1 or of 0 carries no
+    # entropy, only noise: the singular values are accurate to about
+    # max(shape) * eps, so only those measurably above 0 whose squares sit
+    # measurably below 1 count.  The sum is then never negative or -0.0.
+    noise = max(shape) * np.finfo(float).eps
+    positive = lam[lam > 0.0]
+    bits = -positive * np.log2(positive)
+    measurable = (positive > noise * noise) & (positive < 1.0 - noise)
+    entropy = float(np.where(measurable, bits, 0.0).sum())
+    rank = int(np.count_nonzero(s > RANK_TOL))
+    s = s.copy()
+    s.flags.writeable = False
+    return EntanglementReport(s, rank, entropy, rank > 1)
+
+
+def _cut_reports(
+    amps: np.ndarray, dims: tuple[int, ...], rows: list[int]
+) -> list[EntanglementReport]:
+    """Schmidt data of each vector of a ``(T, dim)`` stack across one cut.
+
+    ``rows`` are the layout positions on the left of the cut; one
+    ``np.linalg.svd`` takes all T cut matrices.
+    """
+    m = _split(amps, dims, rows)
+    spectra = np.linalg.svd(m, compute_uv=False)
+    return [_schmidt_report(s, m.shape[1:]) for s in spectra]
 
 
 def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
@@ -230,24 +330,8 @@ def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
         )
     if not left or left == set(labels):
         raise ValueError("both sides of a cut must be nonempty")
-    m = psi.split([i for i, lab in enumerate(labels) if lab in left])
-    s = np.linalg.svd(m, compute_uv=False)
-    lam = s * s
-    if abs(float(lam.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"squared Schmidt coefficients sum to {lam.sum():.12g}")
-    # A squared coefficient within rounding of 1 or of 0 carries no
-    # entropy, only noise: the singular values are accurate to about
-    # max(shape) * eps, so only those measurably above 0 whose squares sit
-    # measurably below 1 count.  The sum is then never negative or -0.0.
-    noise = max(m.shape) * np.finfo(float).eps
-    positive = lam[lam > 0.0]
-    bits = -positive * np.log2(positive)
-    measurable = (positive > noise * noise) & (positive < 1.0 - noise)
-    entropy = float(np.where(measurable, bits, 0.0).sum())
-    rank = int(np.count_nonzero(s > RANK_TOL))
-    s = s.copy()
-    s.flags.writeable = False
-    return EntanglementReport(s, rank, entropy, rank > 1)
+    rows = [i for i, lab in enumerate(labels) if lab in left]
+    return _cut_reports(psi.amplitudes[None], psi.factor_dims, rows)[0]
 
 
 def _sub_seeds(seed, n: int) -> list[int]:
@@ -279,7 +363,24 @@ def verify_purification_entanglement(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    factorable = is_factorable(rho, factorable_tol)
+    return _purification_trials(
+        rho, is_factorable(rho, factorable_tol), trials, seed, factorable_tol
+    )
+
+
+def _purification_trials(
+    rho: BipartiteState,
+    factorable: bool,
+    trials: int,
+    seed: int,
+    factorable_tol: float,
+) -> TheoremReport:
+    """:func:`verify_purification_entanglement` of a state already judged.
+
+    The identity and the ``trials`` sampled purifications form one stack:
+    one stacked draw of the isometries, one pass of checks and one cut SVD,
+    split into chunks only when the vectors outgrow ``_STACK_BYTES``.
+    """
     if factorable:
         base = factored_purification(rho.marginal("A"), rho.marginal("B"))
         support = base.ancilla_dim
@@ -289,14 +390,20 @@ def verify_purification_entanglement(
         support = spectral.ancilla_dim
         base = embed_ancilla(spectral, (n, n))
     dc = base.ancilla_dim
-    cut = ("A", "C1")
+    dims = base.state.factor_dims
+    cut = [i for i, lab in enumerate(base.state.labels) if lab in ("A", "C1")]
+    seeds = _sub_seeds(seed, trials)
 
-    reports: list[tuple[str, EntanglementReport]] = []
-    reports.append(("identity", cut_entanglement(base.state, cut)))
-    for i, sub in enumerate(_sub_seeds(seed, trials)):
-        u = random_isometry(dc, support, sub)
-        sampled = apply_ancilla_unitary(base, u)
-        reports.append((f"haar[{i}]", cut_entanglement(sampled.state, cut)))
+    # Row 0 is the identity, row i + 1 trial i.  Chunking leaves every
+    # report unchanged, since each is that of a batch of one.
+    found: list[EntanglementReport] = []
+    chunk = max(1, correlation._STACK_BYTES // (16 * base.state.dim))
+    for lo in range(0, trials + 1, chunk):
+        drawn = seeds[max(lo, 1) - 1 : lo + chunk - 1]
+        amps = _ancilla_trials(base, _isometries(drawn, dc, support), identity=lo == 0)
+        found += _cut_reports(amps, dims, cut)
+    names = ["identity"] + [f"haar[{i}]" for i in range(trials)]
+    reports = list(zip(names, found))
 
     entropies = np.array([rep.entropy_bits for _, rep in reports])
     counterexamples: list[str] = []
@@ -359,14 +466,25 @@ def entanglement_campaign(
     outcomes into a single report.
     """
     dims = DimPair(*dims)
+    if dims.da < 1 or dims.db < 1:
+        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     s_state, s_prod, s_u1, s_u2 = _sub_seeds(seed, 4)
-    rho = random_density(dims, dims.total, s_state)
-    product = random_product_state(dims, s_prod)
-    rep_main = verify_purification_entanglement(
-        rho, trials, s_u1, factorable_tol=factorable_tol
-    )
-    rep_prod = verify_purification_entanglement(
-        product, trials, s_u2, factorable_tol=factorable_tol
+    # bit for bit random_density and random_product_state, validated and
+    # judged factorable as one stack
+    rhos = np.concatenate([
+        _ginibre_densities([s_state], dims, dims.total),
+        _product_densities([s_prod], dims),
+    ])
+    _validate_densities(rhos, stacked=True)
+    norms = _correlations(rhos, dims).norms
+    rep_main, rep_prod = (
+        _purification_trials(
+            BipartiteState(_trusted(DensityMatrix, matrix=m), dims),
+            bool(norm <= factorable_tol), trials, s_u, factorable_tol,
+        )
+        for m, norm, s_u in zip(rhos, norms, (s_u1, s_u2))
     )
 
     stats = {f"random_{k}": v for k, v in rep_main.stats.items()}

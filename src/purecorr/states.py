@@ -161,6 +161,19 @@ class BipartiteState:
         return _trusted(DensityMatrix, matrix=marginal)
 
 
+def _split(amps: np.ndarray, dims: Sequence[int], rows: Sequence[int]) -> np.ndarray:
+    """:meth:`PureState.split` of each vector of a ``(T, prod(dims))`` stack.
+
+    Returns the ``(T, L, R)`` stack of matrices, ``L`` the product of the
+    dimensions at ``rows``.
+    """
+    rows = sorted(set(rows))
+    cols = [i for i in range(len(dims)) if i not in rows]
+    t = amps.reshape(len(amps), *dims).transpose(0, *(1 + i for i in rows + cols))
+    shape = (math.prod(dims[i] for i in part) for part in (rows, cols))
+    return t.reshape(len(amps), *shape)
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized state vector over labeled tensor factors.
@@ -212,11 +225,7 @@ class PureState:
         The remaining factors index the columns; rows and columns each keep
         layout order.
         """
-        dims = self.factor_dims
-        rows = sorted(set(rows))
-        cols = [i for i in range(len(dims)) if i not in rows]
-        t = self.amplitudes.reshape(dims).transpose(rows + cols)
-        return t.reshape(math.prod(dims[i] for i in rows), -1)
+        return _split(self.amplitudes[None], self.factor_dims, rows)[0]
 
     def reduced(self, keep: Sequence[int]) -> np.ndarray:
         """Reduced density on the factors at ``keep``, trace-normalized.
@@ -321,10 +330,16 @@ def _normals(seeds: Sequence, shape: tuple[int, ...]) -> np.ndarray:
     return x
 
 
+def _complex(x: np.ndarray) -> np.ndarray:
+    """``x[:, 0] + 1j * x[:, 1]`` of a ``(T, 2, ...)`` stack, bit for bit."""
+    z = np.empty(x[:, 0].shape, dtype=np.complex128)
+    z.real, z.imag = x[:, 0], x[:, 1]
+    return z
+
+
 def _ginibre(x: np.ndarray) -> np.ndarray:
     """``G G^dagger / Tr`` for each ``G = x[t, 0] + i x[t, 1]`` of a ``(T, 2, n, r)`` stack."""
-    g = np.empty(x[:, 0].shape, dtype=np.complex128)
-    g.real, g.imag = x[:, 0], x[:, 1]  # the bits of x[:, 0] + 1j * x[:, 1]
+    g = _complex(x)
     m = g @ g.conj().swapaxes(-1, -2)
     m /= m.diagonal(0, -2, -1).sum(-1).real[:, None, None]
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -362,24 +377,34 @@ def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     return BipartiteState(DensityMatrix(_product_densities([seed], dims)[0]), dims)
 
 
+def _isometries(seeds: Sequence, d: int, r: int) -> np.ndarray:
+    """``(len(seeds), d, r)`` Haar-random isometries, one per seed.
+
+    One normal draw per seed, then one stacked thin QR of the ``d x r``
+    complex Gaussians, with the phases fixed by making each R's diagonal
+    real positive (without that correction plain QR is not
+    Haar-distributed).  Matrix ``t`` is bit for bit ``random_isometry(d,
+    r, seeds[t])``.
+    """
+    q, upper = np.linalg.qr(_complex(_normals(seeds, (2, d, r))))
+    phases = np.diagonal(upper, 0, -2, -1).copy()
+    phases /= np.abs(phases)
+    q *= phases[:, None, :]
+    return q
+
+
 def random_isometry(d: int, r: int, seed) -> np.ndarray:
     """Haar-random isometry: ``d x r`` with orthonormal columns.
 
-    The thin QR of a ``d x r`` complex Gaussian, with the phases fixed by
-    making R's diagonal real positive (without that correction plain QR is
-    not Haar-distributed).  Its columns are distributed as the first ``r``
-    columns of a Haar unitary, at O(d r^2) cost instead of O(d^3).
+    The batch of one of :func:`_isometries`.  Its columns are distributed
+    as the first ``r`` columns of a Haar unitary, at O(d r^2) cost instead
+    of O(d^3).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not 1 <= r <= d:
         raise ValueError(f"isometry width must be in [1, {d}], got {r}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    q, upper = np.linalg.qr(a)
-    phases = np.diagonal(upper).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _isometries([seed], d, r)[0]
 
 
 def random_unitary(d: int, seed) -> np.ndarray:

@@ -142,7 +142,7 @@ def validations(monkeypatch):
         calls.extend(m if stacked else [m])
         original(m, stacked)
 
-    for module in (states, correlation):
+    for module in (states, correlation, purification):
         monkeypatch.setattr(module, "_validate_densities", counting)
     return calls
 
@@ -185,6 +185,22 @@ def test_witness_campaign_draws_each_state_once_and_makes_one_eigvalsh_call(monk
     verify_witness_criterion(DimPair(2, 3), trials, 5)
     assert len(rngs) == 2 * trials
     assert eigvalsh_shapes == [(2 * trials, 6, 6)]
+
+
+def test_purification_campaign_validates_its_two_states_as_one_stack(
+    monkeypatch, validations
+):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert entanglement_campaign(DimPair(2, 3), 2, 5).passed
+    assert len(validations) == 2
+    assert shapes == [(2, 6, 6)]
 
 
 def test_witness_of_validated_state_validates_nothing(validations):
@@ -238,24 +254,27 @@ def test_cli_purify_and_trace_out_form_no_dense_density(tmp_path, capsys, densit
 def haar_draws(monkeypatch):
     """Record (generator, d, r) of every Haar draw for the duration of a test.
 
-    Both generators are wrapped in every module that binds them, so calls
-    through an imported name are seen as well as calls inside ``states``.
+    Every isometry is drawn by the stacked generator ``states._isometries``,
+    which records one ``("random_isometry", d, r)`` per seed of its stack;
+    ``random_unitary`` also records its own call.  Both are wrapped in every
+    module that binds them, so calls through an imported name are seen as
+    well as calls inside ``states``.
     """
     calls = []
     unitary = states.random_unitary
-    isometry = getattr(states, "random_isometry", None)
+    isometries = states._isometries
 
     def counting_unitary(d, seed):
         calls.append(("random_unitary", d, d))
         return unitary(d, seed)
 
-    def counting_isometry(d, r, seed):
-        calls.append(("random_isometry", d, r))
-        return isometry(d, r, seed)
+    def counting_isometries(seeds, d, r):
+        calls.extend([("random_isometry", d, r)] * len(seeds))
+        return isometries(seeds, d, r)
 
     for module in (states, purification, cli):
         for name, wrapped in (("random_unitary", counting_unitary),
-                              ("random_isometry", counting_isometry)):
+                              ("_isometries", counting_isometries)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
     return calls
@@ -277,6 +296,55 @@ def test_rank_deficient_state_draws_rank_wide_isometries(haar_draws):
     rank = int(np.linalg.matrix_rank(rho.matrix))
     assert verify_purification_entanglement(rho, 3, 2).passed
     assert haar_draws == [("random_isometry", 81, rank)] * 3
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Record the input shape of every ``np.linalg.qr`` and ``np.linalg.svd`` call."""
+    calls = {"qr": [], "svd": []}
+    for name, shapes in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _original=original, _shapes=shapes, **kwargs):
+            _shapes.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("dims", [DimPair(3, 3), DimPair(2, 3)])
+def test_purification_campaign_makes_one_qr_and_one_cut_svd_per_state(
+    dims, linalg_calls
+):
+    trials, n = 3, dims.total
+    assert entanglement_campaign(dims, trials, 4).passed
+    # the Ginibre state's isometries act on its rank-n support in n x n
+    # ancillas; the product state's factored ancilla (C1, C2) = (da, db)
+    assert linalg_calls["qr"] == [(trials, n * n, n), (trials, n, n)]
+    assert linalg_calls["svd"] == [
+        (trials + 1, dims.da * n, dims.db * n),
+        (trials + 1, dims.da * dims.da, dims.db * dims.db),
+    ]
+
+
+@pytest.mark.parametrize("rows, ginibre, product", [
+    (1, [1] * 6, [4, 2]),
+    (2, [2, 2, 2], [6]),
+    (4, [4, 2], [6]),
+])
+def test_purification_campaign_chunks_its_stack(
+    monkeypatch, linalg_calls, rows, ginibre, product
+):
+    """Chunks of ``rows`` Ginibre purifications (n^3 amplitudes each) split the
+    identity and five trials; the product state's (n^2 each) take 4x as many
+    per chunk.  Every report is that of the unchunked stack."""
+    dims, trials = DimPair(2, 2), 5
+    unchunked = entanglement_campaign(dims, trials, 8).to_json()
+    del linalg_calls["svd"][:]
+    monkeypatch.setattr(correlation, "_STACK_BYTES", rows * 16 * dims.total**3)
+    assert entanglement_campaign(dims, trials, 8).to_json() == unchunked
+    assert [s[0] for s in linalg_calls["svd"]] == ginibre + product
 
 
 TRACING = PACKAGE_DIR.parent.parent / "bench" / "tracing.py"
