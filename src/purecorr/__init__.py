@@ -11,7 +11,6 @@ from .correlation import (
     brute_force_max_covariance,
     chi_square_goodness,
     chi_square_homogeneity,
-    correlated,
     correlation_operator,
     covariance,
     is_factorable,
@@ -50,13 +49,11 @@ from .states import (
     GENERATOR_NAME,
     BipartiteState,
     DensityMatrix,
-    Ensemble,
     Observable,
     PureState,
     example_source_state,
     from_pure,
     ghz,
-    mix,
     random_density,
     random_isometry,
     random_product_state,

@@ -33,10 +33,11 @@ from .reports import TheoremReport
 from .states import (
     BipartiteState,
     Observable,
-    _ginibre_densities,
-    _product_densities,
+    _campaign_dims,
+    _campaign_states,
+    _chunks,
+    _sub_seeds,
     _trusted,
-    _validate_densities,
 )
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "SamplingResult",
     "named_observable",
     "covariance",
-    "correlated",
     "correlation_operator",
     "is_factorable",
     "operator_schmidt",
@@ -71,10 +71,6 @@ WITNESS_TOL = 1e-7
 OUTCOME_GROUP_TOL = 1e-8
 #: Largest imaginary residue tolerated on nominally real traces.
 IMAG_TOL = 1e-10
-# A |covariance| above this makes two measurements correlated.
-_CORRELATED_TOL = 1e-9
-# Bytes of state matrices analysed in one stacked pass by the campaign.
-_STACK_BYTES = 1 << 24
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -256,11 +252,6 @@ def covariance(rho: BipartiteState, e: Observable, f: Observable) -> float:
             f"({da}, {db})"
         )
     return float(_pairing(correlation_operator(rho).delta, e.matrix, f.matrix))
-
-
-def correlated(rho: BipartiteState, e: Observable, f: Observable) -> bool:
-    """Whether the two measurements are correlated on the state (|cov| > 1e-9)."""
-    return abs(covariance(rho, e, f)) > _CORRELATED_TOL
 
 
 def correlation_operator(rho: BipartiteState) -> CorrelationOperator:
@@ -518,26 +509,16 @@ def verify_witness_criterion(
     witness must be significant (|covariance| > WITNESS_TOL) exactly when
     ||Delta||_F exceeds factorable_tol.  The report lists every violation.
     """
-    dims = DimPair(*dims)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    seeds = np.random.SeedSequence(seed).generate_state(2 * trials, dtype=np.uint64).tolist()
+    dims = _campaign_dims(dims, trials)
+    seeds = _sub_seeds(seed, 2 * trials)
 
     counterexamples: list[str] = []
     cov_factorable, cov_nonfactorable = [0.0], []
-    # One stacked pass unless the states outgrow _STACK_BYTES; chunking
-    # leaves every result unchanged, since each is that of a batch of one.
-    # Each chunk is drawn and validated as one stack: Ginibre states, then
-    # product states, each bit for bit random_density / random_product_state.
-    chunk = max(1, _STACK_BYTES // (16 * dims.total**2))
-    for lo in range(0, 2 * trials, chunk):
-        batch = range(lo, min(lo + chunk, 2 * trials))
-        mid = min(max(lo, trials), batch.stop)
-        rhos = np.concatenate([
-            _ginibre_densities(seeds[lo:mid], dims, dims.total),
-            _product_densities(seeds[mid:batch.stop], dims),
-        ])
-        _validate_densities(rhos, stacked=True)
+    # States 0 .. trials - 1 are Ginibre, the rest products; a chunk may
+    # hold some of each.
+    for batch in _chunks(2 * trials, 16 * dims.total**2):
+        mid = min(max(batch.start, trials), batch.stop)
+        rhos = _campaign_states(seeds[batch.start : mid], seeds[mid : batch.stop], dims)
         w = _witnesses(rhos, dims)
         norms = w.correlations.norms.tolist()
         for i, norm, cov in zip(batch, norms, np.abs(w.covariance).tolist()):

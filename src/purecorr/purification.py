@@ -16,8 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from . import correlation
-from .correlation import FACTORABLE_TOL, _correlations, is_factorable
+from .correlation import (
+    FACTORABLE_TOL,
+    CorrelationOperator,
+    _correlations,
+    correlation_operator,
+)
 from .linalg import (
     DimPair,
     _first_failure,
@@ -31,17 +35,17 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     PureState,
-    _ginibre_densities,
+    _campaign_dims,
+    _campaign_states,
+    _chunks,
     _isometries,
-    _product_densities,
     _split,
+    _sub_seeds,
     _trusted,
-    _validate_densities,
 )
 
 __all__ = [
     "RANK_TOL",
-    "EIG_CLIP",
     "RECOVERY_TOL",
     "UNITARY_TOL",
     "EntanglementReport",
@@ -57,8 +61,6 @@ __all__ = [
 
 #: Singular values above this count toward the Schmidt rank.
 RANK_TOL = 1e-7
-#: Spectrum entries within this of zero are treated as exact zeros.
-EIG_CLIP = 1e-9
 #: Frobenius tolerance for tracing a purification back to its state.
 RECOVERY_TOL = 1e-10
 #: Frobenius tolerance (times sqrt(columns)) for unitarity and isometry checks.
@@ -113,10 +115,16 @@ class Purification:
 
 
 def _clipped_spectrum(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues with noise clipped to 0, renormalized, plus vectors."""
+    """Descending eigenvalues with noise clipped to 0, renormalized, plus vectors.
+
+    Negative eigenvalues and those up to ``n * eps * lambda_max`` (the
+    rounding level, as in ``np.linalg.matrix_rank``) are noise.  Clipping
+    moves a positive semidefinite state by under ``2 n^2 eps lambda_max``
+    (4e-12 at n = 100), inside ``RECOVERY_TOL``.
+    """
     eig = _hermitian_eig(dm.matrix)
-    lam = np.where(np.abs(eig.eigenvalues) <= EIG_CLIP, 0.0, eig.eigenvalues)
-    lam = np.maximum(lam, 0.0)
+    lam = eig.eigenvalues
+    lam = np.where(lam > lam.size * np.finfo(float).eps * lam[0], lam, 0.0)
     return lam / lam.sum(), eig.eigenvectors
 
 
@@ -182,8 +190,10 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
     da, db = p.original.dims
     padded = np.zeros((n, c1 * c2), dtype=np.complex128)
     padded[:, :r] = p.state.split([0])
+    # exact zeros keep the norm and reduced state that p's construction checked
     layout = (("A", da), ("B", db), ("C1", c1), ("C2", c2))
-    return Purification(PureState(padded.reshape(-1), layout), p.original)
+    state = _trusted(PureState, amplitudes=padded.reshape(-1), layout=layout)
+    return _trusted(Purification, state=state, original=p.original)
 
 
 def _ancilla_trials(
@@ -334,12 +344,6 @@ def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
     return _cut_reports(psi.amplitudes[None], psi.factor_dims, rows)[0]
 
 
-def _sub_seeds(seed, n: int) -> list[int]:
-    """Deterministic per-trial integer seeds derived from one campaign seed."""
-    state = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return [int(x) for x in state]
-
-
 def verify_purification_entanglement(
     rho: BipartiteState,
     trials: int,
@@ -364,25 +368,28 @@ def verify_purification_entanglement(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return _purification_trials(
-        rho, is_factorable(rho, factorable_tol), trials, seed, factorable_tol
+        rho, correlation_operator(rho), trials, seed, factorable_tol
     )
 
 
 def _purification_trials(
     rho: BipartiteState,
-    factorable: bool,
+    corr: CorrelationOperator,
     trials: int,
     seed: int,
     factorable_tol: float,
 ) -> TheoremReport:
-    """:func:`verify_purification_entanglement` of a state already judged.
+    """:func:`verify_purification_entanglement` of a state and its correlation operator.
 
-    The identity and the ``trials`` sampled purifications form one stack:
-    one stacked draw of the isometries, one pass of checks and one cut SVD,
-    split into chunks only when the vectors outgrow ``_STACK_BYTES``.
+    The operator judges the state and, for a factorable one, gives the
+    marginals to purify.  The identity and the ``trials`` sampled
+    purifications form one stack: one stacked draw of the isometries, one
+    pass of checks and one cut SVD, in chunks of ``states._chunks``.
     """
+    factorable = corr.frobenius_norm <= factorable_tol
     if factorable:
-        base = factored_purification(rho.marginal("A"), rho.marginal("B"))
+        marginals = (_trusted(DensityMatrix, matrix=m) for m in (corr.rho_a, corr.rho_b))
+        base = factored_purification(*marginals)
         support = base.ancilla_dim
     else:
         n = rho.dims.total
@@ -394,13 +401,13 @@ def _purification_trials(
     cut = [i for i, lab in enumerate(base.state.labels) if lab in ("A", "C1")]
     seeds = _sub_seeds(seed, trials)
 
-    # Row 0 is the identity, row i + 1 trial i.  Chunking leaves every
-    # report unchanged, since each is that of a batch of one.
+    # Row 0 is the identity, row i + 1 trial i.
     found: list[EntanglementReport] = []
-    chunk = max(1, correlation._STACK_BYTES // (16 * base.state.dim))
-    for lo in range(0, trials + 1, chunk):
-        drawn = seeds[max(lo, 1) - 1 : lo + chunk - 1]
-        amps = _ancilla_trials(base, _isometries(drawn, dc, support), identity=lo == 0)
+    for rows in _chunks(trials + 1, 16 * base.state.dim):
+        drawn = seeds[max(rows.start, 1) - 1 : rows.stop - 1]
+        amps = _ancilla_trials(
+            base, _isometries(drawn, dc, support), identity=rows.start == 0
+        )
         found += _cut_reports(amps, dims, cut)
     names = ["identity"] + [f"haar[{i}]" for i in range(trials)]
     reports = list(zip(names, found))
@@ -465,26 +472,16 @@ def entanglement_campaign(
     :func:`verify_purification_entanglement` on each, and merges the
     outcomes into a single report.
     """
-    dims = DimPair(*dims)
-    if dims.da < 1 or dims.db < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    dims = _campaign_dims(dims, trials)
     s_state, s_prod, s_u1, s_u2 = _sub_seeds(seed, 4)
-    # bit for bit random_density and random_product_state, validated and
-    # judged factorable as one stack
-    rhos = np.concatenate([
-        _ginibre_densities([s_state], dims, dims.total),
-        _product_densities([s_prod], dims),
-    ])
-    _validate_densities(rhos, stacked=True)
-    norms = _correlations(rhos, dims).norms
+    rhos = _campaign_states([s_state], [s_prod], dims)
+    corr = _correlations(rhos, dims)
     rep_main, rep_prod = (
         _purification_trials(
-            BipartiteState(_trusted(DensityMatrix, matrix=m), dims),
-            bool(norm <= factorable_tol), trials, s_u, factorable_tol,
+            BipartiteState(_trusted(DensityMatrix, matrix=rhos[i]), dims),
+            corr.at(i, dims), trials, s_u, factorable_tol,
         )
-        for m, norm, s_u in zip(rhos, norms, (s_u1, s_u2))
+        for i, s_u in enumerate((s_u1, s_u2))
     )
 
     stats = {f"random_{k}": v for k, v in rep_main.stats.items()}

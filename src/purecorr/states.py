@@ -6,7 +6,9 @@ where a value enters the library.  Values derived from validated ones
 (marginals, correlation operators, Schmidt factors) are built with
 :func:`_trusted` and are not checked again.  Every random generator is a
 seeded ``numpy.random.default_rng`` (PCG64); the generator name is recorded
-in verification reports so seeds quoted there are reproducible.
+in verification reports so seeds quoted there are reproducible.  Both
+verification campaigns take their argument check, per-trial seeds, stack
+budget and validated draw of states from here.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ __all__ = [
     "Observable",
     "BipartiteState",
     "PureState",
-    "Ensemble",
     "from_pure",
-    "mix",
     "example_source_state",
     "ghz",
     "random_pure",
@@ -53,6 +53,9 @@ TRACE_TOL = 1e-9
 NORM_TOL = 1e-9
 #: Eigenvalues above -PSD_TOL count as nonnegative (eigensolver noise).
 PSD_TOL = 1e-9
+# Bytes of state matrices or vectors a campaign stacks in one pass; each result
+# is that of a batch of one, so this budget changes none of them.
+_STACK_BYTES = 1 << 24
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -250,48 +253,9 @@ class PureState:
         return rho
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """A probability-weighted collection of equal-dimension states."""
-
-    weights: tuple[float, ...]
-    states: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != len(self.states):
-            raise ValueError(
-                f"{len(w)} weights for {len(self.states)} states"
-            )
-        if not w:
-            raise ValueError("ensemble must not be empty")
-        if any(x < 0 for x in w):
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > TRACE_TOL:
-            raise ValueError(f"weights must sum to 1, got {sum(w):.12g}")
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1:
-            raise ValueError(f"ensemble states have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(self.states))
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
-
-
 def from_pure(psi: PureState) -> DensityMatrix:
     """Density matrix of a pure state."""
     return DensityMatrix(psi.density())
-
-
-def mix(ensemble: Ensemble) -> DensityMatrix:
-    """Convex mixture sum_i w_i rho_i of an ensemble."""
-    out = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-    for w, s in zip(ensemble.weights, ensemble.states):
-        rho = s.density() if isinstance(s, PureState) else s.matrix
-        out += w * rho
-    return DensityMatrix(out)
 
 
 def example_source_state() -> BipartiteState:
@@ -375,6 +339,38 @@ def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     """Exactly factorable random state: independent full-rank factors."""
     dims = DimPair(*dims)
     return BipartiteState(DensityMatrix(_product_densities([seed], dims)[0]), dims)
+
+
+def _campaign_dims(dims: DimPair | Sequence[int], trials: int) -> DimPair:
+    """A campaign's ``dims`` as a DimPair, after checking it and ``trials``."""
+    dims = DimPair(*dims)
+    if dims.da < 1 or dims.db < 1:
+        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return dims
+
+
+def _sub_seeds(seed, n: int) -> list[int]:
+    """Deterministic per-trial integer seeds derived from one campaign seed."""
+    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64).tolist()
+
+
+def _chunks(count: int, item_bytes: int) -> list[range]:
+    """``range(count)`` in consecutive stacks of ``_STACK_BYTES``, one item at least."""
+    size = max(1, _STACK_BYTES // item_bytes)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _campaign_states(
+    ginibre_seeds: Sequence, product_seeds: Sequence, dims: DimPair
+) -> np.ndarray:
+    """One validated stack: ``random_density(dims, dims.total, s)`` of each Ginibre
+    seed, then ``random_product_state(dims, s)`` of each product seed, bit for bit."""
+    rhos = np.concatenate([_ginibre_densities(ginibre_seeds, dims, dims.total),
+                           _product_densities(product_seeds, dims)])
+    _validate_densities(rhos, stacked=True)
+    return rhos
 
 
 def _isometries(seeds: Sequence, d: int, r: int) -> np.ndarray:

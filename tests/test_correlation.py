@@ -11,7 +11,6 @@ from purecorr.correlation import (
     brute_force_max_covariance,
     chi_square_goodness,
     chi_square_homogeneity,
-    correlated,
     correlation_operator,
     covariance,
     is_factorable,
@@ -134,18 +133,6 @@ class TestCovariance:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="do not match"):
             covariance(example_source_state(), named_observable("i", 3), SZ)
-
-
-class TestCorrelated:
-    def test_source_state_zz_correlated(self):
-        assert correlated(example_source_state(), SZ, SZ)
-
-    def test_source_state_xx_uncorrelated(self):
-        assert not correlated(example_source_state(), SX, SX)
-
-    def test_product_state_uncorrelated(self):
-        rho = random_product_state(DimPair(2, 2), 5)
-        assert not correlated(rho, SZ, SZ)
 
 
 class TestCorrelationOperator:

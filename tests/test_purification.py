@@ -96,6 +96,16 @@ class TestPurify:
             purify(rho).state.amplitudes, purify(rho).state.amplitudes
         )
 
+    def test_keeps_small_genuine_eigenvalue(self):
+        # an eigenvalue of 5e-10 is far above rounding; zeroing it missed
+        # the state by 5.9e-10, beyond the recovery check's 1e-10
+        u = random_unitary(4, 1)
+        lam = np.array([0.5, 0.3, 0.2 - 5e-10, 5e-10])
+        rho = BipartiteState(DensityMatrix((u * lam) @ u.conj().T), DimPair(2, 2))
+        p = purify(rho)
+        assert p.ancilla_dim == 4
+        assert np.linalg.norm(trace_out_ancillas(p) - rho.matrix) <= 1e-10
+
 
 class TestFactoredPurification:
     def test_pure_product_input(self):
@@ -351,6 +361,11 @@ class TestEntanglementCampaign:
     def test_eight_by_eight(self):
         # 4096-dimensional ancilla: only the rank-64 support is sampled
         assert entanglement_campaign(DimPair(8, 8), 1, 3).passed
+
+    def test_state_with_smallest_eigenvalue_near_1e_10(self):
+        # the Ginibre state's smallest eigenvalue is 1.295e-10; clipping it
+        # raised "misses the original state by 1.377e-10"
+        assert entanglement_campaign(DimPair(4, 4), 2, 2475038374).passed
 
 
 class TestPurificationInvariant:

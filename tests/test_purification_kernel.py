@@ -22,7 +22,6 @@ from purecorr.purification import (
     Purification,
     _ancilla_trials,
     _cut_reports,
-    _sub_seeds,
     apply_ancilla_unitary,
     cut_entanglement,
     embed_ancilla,
@@ -33,6 +32,7 @@ from purecorr.purification import (
 from purecorr.states import (
     PureState,
     _isometries,
+    _sub_seeds,
     _trusted,
     example_source_state,
     random_density,

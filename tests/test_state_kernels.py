@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purecorr import correlation
+from purecorr import correlation, states
 from purecorr.correlation import verify_witness_criterion
 from purecorr.linalg import DimPair, require_hermitian
 from purecorr.states import (
@@ -61,7 +61,7 @@ def test_campaign_chunks_hold_each_seeds_state(monkeypatch, trials, chunk):
     """Chunks that split the Ginibre and product halves still draw every state
     bit for bit as random_density / random_product_state do."""
     dims, seed = DimPair(2, 2), 9
-    monkeypatch.setattr(correlation, "_STACK_BYTES", chunk * 16 * dims.total**2)
+    monkeypatch.setattr(states, "_STACK_BYTES", chunk * 16 * dims.total**2)
     analysed = []
     witnesses = correlation._witnesses
 

@@ -9,12 +9,10 @@ from purecorr.linalg import DimPair, multi_partial_trace
 from purecorr.states import (
     BipartiteState,
     DensityMatrix,
-    Ensemble,
     PureState,
     example_source_state,
     from_pure,
     ghz,
-    mix,
     random_density,
     random_product_state,
     random_isometry,
@@ -114,45 +112,18 @@ class TestFromPure:
         assert abs(evals[-2]) <= 1e-9
 
 
-class TestMixAndEnsemble:
-    def test_single_state(self):
-        dm = mix(Ensemble((1.0,), (qubit_pure([1, 0]),)))
-        np.testing.assert_array_equal(dm.matrix, np.diag([1.0, 0.0]))
-
-    def test_source_state_mixture(self):
-        zz = qubit_pure([1, 0, 0, 0])
-        oo = qubit_pure([0, 0, 0, 1])
-        dm = mix(Ensemble((0.5, 0.5), (zz, oo)))
-        np.testing.assert_array_equal(dm.matrix, example_source_state().matrix)
-
-    def test_convexity_fixed_point(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]))
-        dm = mix(Ensemble((0.5, 0.5), (rho, rho)))
-        np.testing.assert_allclose(dm.matrix, rho.matrix, atol=1e-15)
-
-    def test_linearity_under_concatenation(self):
-        rng = np.random.default_rng(8)
-        states = [random_pure(3, rng) for _ in range(4)]
-        mixed_all = mix(Ensemble((0.1, 0.2, 0.3, 0.4), tuple(states)))
-        part1 = mix(Ensemble((1 / 3, 2 / 3), tuple(states[:2])))
-        part2 = mix(Ensemble((3 / 7, 4 / 7), tuple(states[2:])))
-        recombined = 0.3 * part1.matrix + 0.7 * part2.matrix
-        np.testing.assert_allclose(mixed_all.matrix, recombined, atol=1e-12)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Ensemble((0.5, 0.4), (qubit_pure([1, 0]), qubit_pure([0, 1])))
-        with pytest.raises(ValueError, match="nonnegative"):
-            Ensemble((1.5, -0.5), (qubit_pure([1, 0]), qubit_pure([0, 1])))
-        with pytest.raises(ValueError, match="weights for"):
-            Ensemble((1.0,), (qubit_pure([1, 0]), qubit_pure([0, 1])))
-
-
 class TestCanonicalStates:
     def test_source_state_matrix(self):
         rho = example_source_state()
         np.testing.assert_array_equal(rho.matrix, np.diag([0.5, 0.0, 0.0, 0.5]))
         assert rho.dims == DimPair(2, 2)
+
+    def test_source_state_mixture(self):
+        zz = np.zeros(4, dtype=complex)
+        oo = np.zeros(4, dtype=complex)
+        zz[0] = oo[3] = 1.0
+        mixture = 0.5 * (np.outer(zz, zz.conj()) + np.outer(oo, oo.conj()))
+        np.testing.assert_array_equal(example_source_state().matrix, mixture)
 
     def test_ghz_amplitudes(self):
         psi = ghz()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import purecorr
-from purecorr import cli, correlation, purification, states
+from purecorr import cli, linalg, purification, states
 from purecorr.correlation import synthesize_witness, verify_witness_criterion
 from purecorr.linalg import DimPair
 from purecorr.purification import entanglement_campaign, verify_purification_entanglement
@@ -127,13 +128,87 @@ def test_stateio_does_not_import_correlation():
     assert "purecorr.correlation" not in imported
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["SeedSequence", "_STACK_BYTES", "_ginibre_densities", "_product_densities",
+     "_validate_densities"],
+)
+def test_campaign_skeleton_is_named_only_in_states(name):
+    """Seeding, the stack budget and the validated draw have one owner."""
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    owners = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if name in names(_parse(p.stem)))
+    assert owners == ["states"]
+
+
+def test_purification_does_not_import_the_correlation_module():
+    modules = []
+    for node in ast.walk(_parse("purification")):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "purecorr"):
+            modules += [f"purecorr.{alias.name}" for alias in node.names]
+    assert "purecorr.correlation" not in modules
+
+
+CAMPAIGNS = [verify_witness_criterion, entanglement_campaign]
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS)
+@pytest.mark.parametrize("dims, trials, message", [
+    ((0, 2), 1, "subsystem dimensions must be >= 1, got DimPair(da=0, db=2)"),
+    ((2, 0), 1, "subsystem dimensions must be >= 1, got DimPair(da=2, db=0)"),
+    ((-1, 2), 1, "subsystem dimensions must be >= 1, got DimPair(da=-1, db=2)"),
+    ((2, 2), 0, "trials must be >= 1"),
+], ids=["da-zero", "db-zero", "da-negative", "trials-zero"])
+def test_campaigns_check_their_arguments_alike(campaign, dims, trials, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        campaign(dims, trials, 0)
+
+
+def test_purification_campaign_takes_no_partial_trace(monkeypatch):
+    """The product state's marginals come with its correlation operator."""
+    calls = []
+    original = linalg.multi_partial_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "multi_partial_trace", counting)
+    assert entanglement_campaign(DimPair(2, 3), 2, 5).passed
+    assert calls == []
+
+
+def test_purification_campaign_checks_each_base_once(monkeypatch):
+    checked = []
+    original = purification.Purification.__post_init__
+
+    def counting(self):
+        checked.append(self.state.labels)
+        original(self)
+
+    monkeypatch.setattr(purification.Purification, "__post_init__", counting)
+    assert entanglement_campaign(DimPair(2, 3), 2, 5).passed
+    # the Ginibre state's spectral purification, then the product state's
+    # factored one; zero-padding the first is not checked again
+    assert checked == [("AB", "C"), ("A", "B", "C1", "C2")]
+
+
 @pytest.fixture
 def validations(monkeypatch):
     """Record each state that passes density validation during a test.
 
     Every density is validated by ``states._validate_densities``, a single
     matrix (``DensityMatrix``) as a batch of one and a campaign's states as
-    one stack; the validator is wrapped in every module that binds it.
+    one stack; ``states`` is the one module that binds the validator.
     """
     calls = []
     original = states._validate_densities
@@ -142,8 +217,7 @@ def validations(monkeypatch):
         calls.extend(m if stacked else [m])
         original(m, stacked)
 
-    for module in (states, correlation, purification):
-        monkeypatch.setattr(module, "_validate_densities", counting)
+    monkeypatch.setattr(states, "_validate_densities", counting)
     return calls
 
 
@@ -342,7 +416,7 @@ def test_purification_campaign_chunks_its_stack(
     dims, trials = DimPair(2, 2), 5
     unchunked = entanglement_campaign(dims, trials, 8).to_json()
     del linalg_calls["svd"][:]
-    monkeypatch.setattr(correlation, "_STACK_BYTES", rows * 16 * dims.total**3)
+    monkeypatch.setattr(states, "_STACK_BYTES", rows * 16 * dims.total**3)
     assert entanglement_campaign(dims, trials, 8).to_json() == unchunked
     assert [s[0] for s in linalg_calls["svd"]] == ginibre + product
 

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purecorr import correlation
+from purecorr import states
 from purecorr.correlation import (
     _witnesses,
     correlation_operator,
@@ -121,7 +121,7 @@ def test_campaign_in_chunks_reports_as_in_one_pass(monkeypatch):
     # lists one counterexample per Ginibre state, in draw order
     one = verify_witness_criterion(DimPair(2, 2), 5, 3, factorable_tol=10.0)
     assert len(one.counterexamples) == 5
-    monkeypatch.setattr(correlation, "_STACK_BYTES", 3 * 16 * 4**2)
+    monkeypatch.setattr(states, "_STACK_BYTES", 3 * 16 * 4**2)
     chunked = verify_witness_criterion(DimPair(2, 2), 5, 3, factorable_tol=10.0)
     assert chunked.counterexamples == one.counterexamples
     assert chunked.stats == one.stats
