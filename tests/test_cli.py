@@ -1,6 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,32 @@ class TestPurify:
     def test_rejects_bad_ancilla_dims(self, eq2_file, capsys):
         assert main(["purify", eq2_file, "--ancilla-dims", "x,y"]) == 2
         assert main(["purify", eq2_file, "--ancilla-dims", "1,1"]) == 2
+
+    def test_fresh_processes_write_and_read_identical_bytes(self, tmp_path):
+        # The same argv in the same environment gives the same stdout and
+        # the same state file in a fresh process, import included.
+        source = Path(__file__).parent / "golden" / "purify_input_2x2_rank3_seed6.state"
+        out = tmp_path / "purified.state"
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        runs = []
+        for _ in range(2):
+            outputs = [
+                subprocess.run(
+                    [sys.executable, "-m", "purecorr.cli", *argv, "--json"],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+                for argv in (
+                    ["purify", str(source), "--ancilla-dims", "4,4",
+                     "--unitary-seed", "5", "--out", str(out)],
+                    ["analyze", str(out), "--trace-out", "C1,C2"],
+                )
+            ]
+            runs.append((outputs, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0][1])["factorable"] is False
 
 
 class TestVerify:

@@ -106,6 +106,18 @@ class TestPurify:
         assert p.ancilla_dim == 4
         assert np.linalg.norm(trace_out_ancillas(p) - rho.matrix) <= 1e-10
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="PSD_TOL admits eigenvalues that RECOVERY_TOL cannot meet")
+    def test_purifies_every_accepted_state(self):
+        # DensityMatrix accepts eigenvalues down to -PSD_TOL = -1e-9, but no
+        # purification comes closer to this state than 5.9e-10 while the
+        # recovery check allows RECOVERY_TOL = 1e-10
+        u = random_unitary(4, 1)
+        lam = np.array([0.5, 0.3, 0.2 + 5e-10, -5e-10])
+        rho = BipartiteState(DensityMatrix((u * lam) @ u.conj().T), DimPair(2, 2))
+        p = purify(rho)
+        assert np.linalg.norm(trace_out_ancillas(p) - rho.matrix) <= 1e-10
+
 
 class TestFactoredPurification:
     def test_pure_product_input(self):

@@ -1,5 +1,7 @@
 """Tests for the state file format: grammar, validation, exact round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from purecorr.stateio import (
     parse_observable_file,
     parse_state_file,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EQ2_FILE = """
 version: 1
@@ -208,6 +212,271 @@ class TestParseErrors:
             )
 
 
+# Each malformed or edge-case file with the exact message it must raise,
+# line and column included.  Header cases are whole files; each body case
+# is a (matrix body, message, vector body, message) row, read after the
+# MATRIX_HEAD or VECTOR_HEAD below.
+HEADER_ERRORS = [
+    ('empty', '',
+     "line 1, column 1: missing 'matrix:' or 'vector:' body"),
+    ('blank', '  \n\t\n',
+     "line 3, column 1: missing 'matrix:' or 'vector:' body"),
+    ('no-body', 'version: 1\nkind: density\ndims: [2]\n',
+     "line 4, column 1: missing 'matrix:' or 'vector:' body"),
+    ('no-body-trailing-space', 'version: 1\nkind: density\ndims: [2]\n   \n  ',
+     "line 5, column 3: missing 'matrix:' or 'vector:' body"),
+    ('empty-matrix-body', 'version: 1\nkind: density\ndims: [2]\nmatrix:',
+     'line 4, column 8: missing array body'),
+    ('blank-vector-body', 'version: 1\nkind: pure\ndims: [2]\nvector:  \n  \n',
+     'line 6, column 1: missing array body'),
+    ('missing-colon', 'version 1\n',
+     "line 1, column 9: expected ':' after field name 'version'"),
+    ('missing-colon-at-end', 'version: 1\nkind',
+     "line 2, column 5: expected ':' after field name 'kind'"),
+    ('missing-colon-after-space', 'version: 1\n  kind   density\n',
+     "line 2, column 10: expected ':' after field name 'kind'"),
+    ('dash-in-key', 'version: 1\nkind-x: density\n',
+     "line 2, column 5: expected ':' after field name 'kind'"),
+    ('missing-key', 'version: 1\n  : density\n',
+     "line 2, column 3: expected a field name, found ':'"),
+    ('missing-key-symbol', 'version: 1\n\n    = 2\n',
+     "line 3, column 5: expected a field name, found '='"),
+    ('missing-value', 'version:',
+     'line 1, column 9: expected a value'),
+    ('missing-value-after-space', 'version: 1\nkind:   \n  ',
+     'line 3, column 3: expected a value'),
+    ('duplicate-version', 'version: 1\nversion: 1\n',
+     "line 2, column 9: duplicate field 'version'"),
+    ('duplicate-dims', 'version: 1\nkind: density\ndims: [2]\n dims: [2]\n',
+     "line 4, column 7: duplicate field 'dims'"),
+    ('unknown-field', 'version: 1\n   bogus: 3\n',
+     "line 2, column 10: unknown field 'bogus'"),
+    ('unknown-before-duplicate', 'bogus: 1 bogus: 2',
+     "line 1, column 7: unknown field 'bogus'"),
+    ('no-version', 'kind: density\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "missing 'version' field"),
+    ('wrong-version', 'version: 2\nkind: density\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "unsupported version '2', expected '1'"),
+    ('decimal-version', 'version: 1.0\nkind: density\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "unsupported version '1.0', expected '1'"),
+    ('no-kind', 'version: 1\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "missing 'kind' field"),
+    ('wrong-kind', 'version: 1\nkind: mixed\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "kind must be one of ('density', 'pure', 'observable'), got 'mixed'"),
+    ('glued-kind', 'version: 1\nkind:density,\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "kind must be one of ('density', 'pure', 'observable'), got 'density,'"),
+    ('density-with-vector', 'version: 1\nkind: density\ndims: [1]\nvector: [[1.0, 0.0]]\n',
+     "kind 'density' requires a 'matrix:' body, found 'vector:'"),
+    ('pure-with-matrix', 'version: 1\nkind: pure\ndims: [1]\nmatrix: [[[1.0, 0.0]]]\n',
+     "kind 'pure' requires a 'vector:' body, found 'matrix:'"),
+    ('observable-with-vector', 'version: 1\nkind: observable\ndims: [1]\nvector: [[1.0, 0.0]]\n',
+     "kind 'observable' requires a 'matrix:' body, found 'vector:'"),
+    ('no-dims', 'version: 1\nkind: density\nmatrix: [[[1.0, 0.0]]]\n',
+     "missing 'dims' field"),
+    ('dims-empty', 'version: 1\nkind: density\ndims: []\nmatrix: [[[1.0, 0.0]]]\n',
+     'dims must be positive integers, got []'),
+    ('dims-zero', 'version: 1\nkind: density\ndims: [0, 2]\nmatrix: [[[1.0, 0.0]]]\n',
+     'dims must be positive integers, got [0, 2]'),
+    ('dims-negative', 'version: 1\nkind: density\ndims: [-1]\nmatrix: [[[1.0, 0.0]]]\n',
+     'dims must be positive integers, got [-1]'),
+    ('dims-letter', 'version: 1\nkind: density\ndims: [a]\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 10: dims must be integers: invalid literal for int() with base 10: 'a'"),
+    ('dims-float', 'version: 1\nkind: density\ndims: [2.5]\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 12: dims must be integers: invalid literal for int() with base 10: '2.5'"),
+    ('dims-nested', 'version: 1\nkind: density\ndims: [1, [2]]\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 15: dims must be integers: invalid literal for int() with base 10: '[2]'"),
+    ('dims-nested-deep', 'version: 1\nkind: density\ndims:  [[1, [2, 3]], 4]  \nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 24: dims must be integers: invalid literal for int() with base 10: '[1'"),
+    ('dims-trailing-comma', 'version: 1\nkind: density\ndims: [ 2 , ]\nmatrix: [[[1.0, 0.0]]]\n',
+     'matrix shape (1, 1) does not match dims product 2'),
+    ('dims-unterminated', 'version: 1\nkind: density\ndims:   [2, 2\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 9: unterminated '['"),
+    ('dims-unterminated-nested', 'version: 1\nkind: density\ndims: [2, [2]\n',
+     "line 3, column 7: unterminated '['"),
+    ('dims-no-bracket', 'version: 1\nkind: density\ndims:   2\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 9: expected '['"),
+    ('dims-at-end', 'version: 1\nkind: density\ndims:',
+     "line 3, column 6: expected '['"),
+    ('dims-stray-close', 'version: 1\nkind: density\ndims: [2]]\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 3, column 10: expected a field name, found ']'"),
+    ('labels-too-many', 'version: 1\nkind: pure\ndims: [2]\nlabels: [A, B]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     '2 labels for 1 dims'),
+    ('labels-too-few', 'version: 1\nkind: pure\ndims: [2, 2]\nlabels: [a]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     '1 labels for 2 dims'),
+    ('labels-empty', 'version: 1\nkind: pure\ndims: [2]\nlabels: []\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     '0 labels for 1 dims'),
+    ('labels-trailing-comma', 'version: 1\nkind: pure\ndims: [2, 2]\nlabels: [ A , ]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     '1 labels for 2 dims'),
+    ('labels-nested', 'version: 1\nkind: pure\ndims: [2]\nlabels: [1, [2]]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     '2 labels for 1 dims'),
+    ('labels-duplicate', 'version: 1\nkind: pure\ndims: [2, 2]\nlabels: [A, A]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     "labels must be unique, got ['A', 'A']"),
+    ('labels-duplicate-after-strip', 'version: 1\nkind: density\ndims: [1, 1]\nlabels: [ B,B ]\nmatrix: [[[1.0, 0.0]]]\n',
+     "labels must be unique, got ['B', 'B']"),
+    ('labels-unterminated', 'version: 1\nkind: pure\ndims: [2]\n  labels: [A\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     "line 4, column 11: unterminated '['"),
+    ('labels-no-bracket', 'version: 1\nkind: pure\ndims: [2]\nlabels: A\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     "line 4, column 9: expected '['"),
+]
+
+BODY_ERRORS = [
+    ('ragged',
+     '[[[1.0, 0.0], [0.0, 0.0]],\n [[0.0, 0.0]]]',
+     'matrix row 1 has 1 entries, expected 2',
+     '[[1.0, 0.0],\n [0.0, 0.0, 0.0]]',
+     'vector entry 1: expected a [re, im] pair, got [0.0, 0.0, 0.0]'),
+    ('short-pair',
+     '[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     'matrix entry (0, 0): expected a [re, im] pair, got [1.0]',
+     '[[1.0, 0.0], [1.0]]',
+     'vector entry 1: expected a [re, im] pair, got [1.0]'),
+    ('long-pair',
+     '[[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     'matrix entry (0, 0): expected a [re, im] pair, got [1.0, 0.0, 0.0]',
+     '[[1.0, 0.0, 0.0], [0.0, 0.0]]',
+     'vector entry 0: expected a [re, im] pair, got [1.0, 0.0, 0.0]'),
+    ('too-deep',
+     '[[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.0, 0.0]]]]',
+     'matrix entry (0, 0): expected a [re, im] pair, got [[1.0, 0.0]]',
+     '[[[1.0, 0.0]], [[0.0, 0.0]]]',
+     'vector entry 0: expected a [re, im] pair, got [[1.0, 0.0]]'),
+    ('too-shallow',
+     '[[1.0, 0.0], [0.0, 0.0]]',
+     'matrix entry (0, 0): expected a [re, im] pair, got 1.0',
+     '[1.0, 0.0]',
+     'vector entry 0: expected a [re, im] pair, got 1.0'),
+    ('scalar',
+     '1.0',
+     'matrix body must be a nonempty list of rows',
+     '1.0',
+     'vector body must be a nonempty list of [re, im] pairs'),
+    ('empty-list',
+     '[]',
+     'matrix body must be a nonempty list of rows',
+     '[]',
+     'vector body must be a nonempty list of [re, im] pairs'),
+    ('empty-row',
+     '[[], []]',
+     'matrix row 0 must be a nonempty list',
+     '[[], []]',
+     'vector entry 0: expected a [re, im] pair, got []'),
+    ('object-body',
+     '{}',
+     'matrix body must be a nonempty list of rows',
+     '{}',
+     'vector body must be a nonempty list of [re, im] pairs'),
+    ('trailing-junk',
+     '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]] x',
+     'line 5, column 54: array syntax error: Extra data',
+     '[[1.0, 0.0], [0.0, 0.0]]\n  ]',
+     'line 6, column 3: array syntax error: Extra data'),
+    ('unterminated',
+     '[[[1.0, 0.0], [0.0, 0.0]],\n [[0.0, 0.0], [0.0, 0.0]]',
+     "line 6, column 26: array syntax error: Expecting ',' delimiter",
+     '[[1.0, 0.0], [0.0, 0.0]',
+     "line 5, column 24: array syntax error: Expecting ',' delimiter"),
+    ('missing-comma',
+     '[[[1.0, 0.0], [0.0 0.0]],\n [[0.0, 0.0], [0.0, 0.0]]]',
+     "line 5, column 20: array syntax error: Expecting ',' delimiter",
+     '[[1.0, 0.0],\n [0.0 0.0]]',
+     "line 6, column 7: array syntax error: Expecting ',' delimiter"),
+    ('nan',
+     '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NaN, 0.0]]]',
+     "line 5, column 1: non-finite constant 'NaN' is not allowed",
+     '[[1.0, 0.0], [NaN, 0.0]]',
+     "line 5, column 1: non-finite constant 'NaN' is not allowed"),
+    ('minus-infinity',
+     '[[[-Infinity, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     "line 5, column 1: non-finite constant '-Infinity' is not allowed",
+     '[[1.0, -Infinity], [0.0, 0.0]]',
+     "line 5, column 1: non-finite constant '-Infinity' is not allowed"),
+    ('overflow',
+     '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e999, 0.0]]]',
+     'matrix entry (1, 1): entries must be finite, got [inf, 0.0]',
+     '[[1.0, 0.0], [0.0, -1e999]]',
+     'vector entry 1: entries must be finite, got [0.0, -inf]'),
+    ('true',
+     '[[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     'matrix entry (0, 0): expected a [re, im] pair, got [True, 0.0]',
+     '[[1.0, 0.0], [0.0, true]]',
+     'vector entry 1: expected a [re, im] pair, got [0.0, True]'),
+    ('false',
+     '[[[1.0, 0.0], [0.0, false]], [[0.0, 0.0], [0.0, 0.0]]]',
+     'matrix entry (0, 1): expected a [re, im] pair, got [0.0, False]',
+     '[[false, 0.0], [0.0, 0.0]]',
+     'vector entry 0: expected a [re, im] pair, got [False, 0.0]'),
+    ('quoted-number',
+     '[[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     "matrix entry (0, 0): expected a [re, im] pair, got ['1.0', 0.0]",
+     '[["1.0", 0.0], [0.0, 0.0]]',
+     "vector entry 0: expected a [re, im] pair, got ['1.0', 0.0]"),
+    ('null',
+     '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, null], [0.0, 0.0]]]',
+     'matrix entry (1, 0): expected a [re, im] pair, got [0.0, None]',
+     '[[1.0, 0.0], [null, 0.0]]',
+     'vector entry 1: expected a [re, im] pair, got [None, 0.0]'),
+    ('object-entry',
+     '[[[1.0, 0.0], {}], [[0.0, 0.0], [0.0, 0.0]]]',
+     'matrix entry (0, 1): expected a [re, im] pair, got {}',
+     '[[1.0, 0.0], {}]',
+     'vector entry 1: expected a [re, im] pair, got {}'),
+    ('bad-entry-before-ragged-row',
+     '[[[1.0, 0.0], [0.0, true]], [[0.0, 0.0]]]',
+     'matrix entry (0, 1): expected a [re, im] pair, got [0.0, True]',
+     '[[1.0, 0.0], [true, 0.0], [0.0]]',
+     'vector entry 1: expected a [re, im] pair, got [True, 0.0]'),
+    ('shape-against-dims',
+     '[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]',
+     'matrix shape (3, 3) does not match dims product 2',
+     '[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]',
+     'vector length 3 does not match dims product 2'),
+    ('non-square',
+     '[[[1.0, 0.0], [0.0, 0.0]]]',
+     'matrix shape (1, 2) does not match dims product 2',
+     '[[1.0, 0.0]]',
+     'vector length 1 does not match dims product 2'),
+    ('body-twice',
+     '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]\nmatrix: [[[1.0, 0.0]]]',
+     'line 6, column 1: array syntax error: Extra data',
+     '[[1.0, 0.0], [0.0, 0.0]]\nvector: [[1.0, 0.0]]',
+     'line 6, column 1: array syntax error: Extra data'),
+    ('unphysical',
+     '[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+     'density matrix trace must be 1, got 0.5+0j',
+     '[[0.5, 0.0], [0.0, 0.0]]',
+     'state vector norm must be 1, got 0.5'),
+]
+
+
+MATRIX_HEAD = "version: 1\nkind: density\ndims: [2]\nmatrix:\n"
+VECTOR_HEAD = "version: 1\nkind: pure\ndims: [2]\nvector:\n"
+
+
+def _cases(rows):
+    return [pytest.param(*row[1:], id=row[0]) for row in rows]
+
+
+def _message(text: str) -> str:
+    with pytest.raises(StateFileError) as info:
+        parse_content(text)
+    return str(info.value)
+
+
+class TestErrorCorpus:
+    @pytest.mark.parametrize("text, message", _cases(HEADER_ERRORS))
+    def test_header(self, text, message):
+        assert _message(text) == message
+
+    @pytest.mark.parametrize("matrix, matrix_message, vector, vector_message",
+                             _cases(BODY_ERRORS))
+    def test_matrix_body(self, matrix, matrix_message, vector, vector_message):
+        assert _message(MATRIX_HEAD + matrix) == matrix_message
+
+    @pytest.mark.parametrize("matrix, matrix_message, vector, vector_message",
+                             _cases(BODY_ERRORS))
+    def test_vector_body(self, matrix, matrix_message, vector, vector_message):
+        assert _message(VECTOR_HEAD + vector) == vector_message
+
 class TestRoundTrip:
     def test_canonical_states_bit_exact(self):
         for obj in (example_source_state(), ghz()):
@@ -248,6 +517,40 @@ class TestRoundTrip:
         m[1, 1] = -0.0
         back = parse_state_file(emit_state_file(DensityMatrix(m)))
         assert back.matrix.tobytes() == m.astype(np.complex128).tobytes()
+
+
+# An observable whose entries need every digit of repr: signed zeros, the
+# smallest subnormal and +-1e300.
+EDGE_OBSERVABLE = np.array([
+    [complex(-0.0, -0.0), complex(5e-324, 1e300), complex(-1e300, -0.0)],
+    [complex(5e-324, -1e300), complex(1e300, 0.0), complex(0.1, -5e-324)],
+    [complex(-1e300, 0.0), complex(0.1, 5e-324), complex(-0.0, 0.0)],
+])
+
+# Pinned emit_state_file output, one file under tests/golden/ per input.
+EMIT_GOLDENS = {
+    "emit_bipartite_2x3_rank4_seed8.state": lambda: random_density(DimPair(2, 3), 4, 8),
+    "emit_density_3_rank2_seed9.state": lambda: DensityMatrix(
+        random_density(DimPair(3, 1), 2, 9).matrix
+    ),
+    "emit_observable_edge_doubles.state": lambda: Observable(EDGE_OBSERVABLE),
+    "emit_pure_sys_c1_c2_seed10.state": lambda: PureState(
+        random_pure(12, 10).amplitudes, (("sys", 2), ("C1", 3), ("C2", 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_GOLDENS))
+def test_emitted_bytes_are_pinned(name):
+    obj = EMIT_GOLDENS[name]()
+    golden = (GOLDEN / name).read_bytes()
+    assert emit_state_file(obj).encode() == golden
+    value = parse_content(golden.decode()).value
+    if isinstance(obj, PureState):
+        assert value.amplitudes.tobytes() == obj.amplitudes.tobytes()
+        assert value.layout == obj.layout
+    else:
+        assert value.matrix.tobytes() == obj.matrix.tobytes()
 
 
 class TestHelpers:
