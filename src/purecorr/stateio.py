@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-_KINDS = ("density", "pure", "observable")
+# Each kind and the key of its body, in the order error messages list them.
 _BODY_KEY = {"density": "matrix", "pure": "vector", "observable": "matrix"}
 
 
@@ -79,138 +80,78 @@ def default_labels(count: int) -> tuple[str, ...]:
     return tuple(f"S{i + 1}" for i in range(count))
 
 
-def _linecol(text: str, pos: int) -> tuple[int, int]:
+# Header grammar: a field name and its ':', a whitespace-free value, and
+# the brackets of a ``[...]`` group, which may nest.
+_KEY = re.compile(r"\s*(\w*)\s*(:?)")
+_VALUE = re.compile(r"\s*(\S*)")
+_BRACKET = re.compile(r"[\[\]]")
+# A body spelled with these characters alone decodes to nested lists of
+# numbers; anything else (true, null, strings, objects) takes the error path.
+_NUMERIC = re.compile(r"[\[\],\s0-9eE.+-]*")
+
+
+def _error(text: str, pos: int, message: str) -> StateFileError:
     line = text.count("\n", 0, pos) + 1
-    column = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, column
+    return StateFileError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, pos: int | None = None) -> StateFileError:
-        line, col = _linecol(self.text, self.pos if pos is None else pos)
-        return StateFileError(message, line, col)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_key(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error(
-                f"expected a field name, found {self.text[self.pos:self.pos + 1]!r}"
-            )
-        key = self.text[start:self.pos]
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ":":
-            raise self.error(f"expected ':' after field name {key!r}")
-        self.pos += 1
-        return key
-
-    def read_token(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a value")
-        return self.text[start:self.pos]
-
-    def read_bracket_group(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != "[":
-            raise self.error("expected '['")
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return self.text[start:self.pos]
-            self.pos += 1
-        raise self.error("unterminated '['", pos=start)
+def _group(text: str, pos: int) -> tuple[tuple[str, ...], int]:
+    """Nonempty comma-separated items of the ``[...]`` group at ``pos``, and its end."""
+    start = _VALUE.match(text, pos).start(1)
+    if not text.startswith("[", start):
+        raise _error(text, start, "expected '['")
+    depth = 0
+    for bracket in _BRACKET.finditer(text, start):
+        depth += 1 if bracket[0] == "[" else -1
+        if not depth:
+            items = (x.strip() for x in text[start + 1:bracket.start()].split(","))
+            return tuple(x for x in items if x), bracket.end()
+    raise _error(text, start, "unterminated '['")
 
 
 def _reject_constant(token: str):
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
-def _parse_payload(scanner: _Scanner):
-    scanner.skip_ws()
-    start = scanner.pos
-    payload = scanner.text[start:]
-    if not payload.strip():
-        raise scanner.error("missing array body")
-    try:
-        return json.loads(payload, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        line, col = _linecol(scanner.text, start + exc.pos)
-        raise StateFileError(f"array syntax error: {exc.msg}", line, col) from exc
-    except ValueError as exc:
-        raise scanner.error(str(exc), pos=start) from exc
+def _body(payload, body: str, vector: bool) -> np.ndarray:
+    """Complex vector or matrix of a decoded ``[re, im]`` body.
 
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _pair_to_complex(pair, where: str) -> complex:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(_is_number(x) for x in pair)
-    ):
-        raise StateFileError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    value = complex(float(pair[0]), float(pair[1]))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise StateFileError(f"{where}: entries must be finite, got {pair!r}")
-    return value
-
-
-def _payload_to_vector(payload) -> np.ndarray:
+    A numeric body takes one float64 conversion, and the complex result
+    views its ``(..., 2)`` pairs, so every double, -0.0 included, is kept.
+    A body that conversion refuses is walked entry by entry, only to name
+    the first bad entry in the error; such a body always has one.
+    """
+    if _NUMERIC.fullmatch(body):
+        try:
+            pairs = np.array(payload, dtype=np.float64)
+        except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+            pairs = np.empty(0)
+        shaped = pairs.ndim == (2 if vector else 3) and pairs.shape[-1] == 2 and pairs.size
+        if shaped and np.isfinite(pairs).all():
+            return pairs.view(np.complex128)[..., 0]
     if not isinstance(payload, list) or not payload:
-        raise StateFileError("vector body must be a nonempty list of [re, im] pairs")
-    return np.array(
-        [_pair_to_complex(p, f"vector entry {i}") for i, p in enumerate(payload)],
-        dtype=np.complex128,
-    )
-
-
-def _payload_to_matrix(payload) -> np.ndarray:
-    if not isinstance(payload, list) or not payload:
-        raise StateFileError("matrix body must be a nonempty list of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(payload):
+        raise StateFileError(
+            "vector body must be a nonempty list of [re, im] pairs"
+            if vector else "matrix body must be a nonempty list of rows"
+        )
+    rows = [payload] if vector else payload
+    for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise StateFileError(f"matrix row {i} must be a nonempty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise StateFileError(
-                f"matrix row {i} has {len(row)} entries, expected {width}"
+                f"matrix row {i} has {len(row)} entries, expected {len(rows[0])}"
             )
-        rows.append(
-            [_pair_to_complex(p, f"matrix entry ({i}, {j})") for j, p in enumerate(row)]
-        )
-    return np.array(rows, dtype=np.complex128)
+        for j, pair in enumerate(row):
+            where = f"vector entry {j}" if vector else f"matrix entry ({i}, {j})"
+            if type(pair) is not list or len(pair) != 2 or {*map(type, pair)} - {int, float}:
+                raise StateFileError(f"{where}: expected a [re, im] pair, got {pair!r}")
+            try:
+                finite = all(map(math.isfinite, pair))
+            except OverflowError:  # an integer beyond the double range
+                finite = False
+            if not finite:
+                raise StateFileError(f"{where}: entries must be finite, got {pair!r}")
 
 
 def parse_content(text: str) -> StateFileContent:
@@ -221,37 +162,46 @@ def parse_content(text: str) -> StateFileContent:
     Violations raise :class:`StateFileError` naming the failed invariant.
     The validated value is kept on the returned content.
     """
-    scanner = _Scanner(text)
     fields: dict[str, object] = {}
-    body_key = None
+    pos = 0
     while True:
-        if scanner.at_end():
-            raise scanner.error("missing 'matrix:' or 'vector:' body")
-        key = scanner.read_key()
-        if key in fields or (body_key is not None):
-            raise scanner.error(f"duplicate field {key!r}")
+        field = _KEY.match(text, pos)
+        key, start, pos = field[1], field.start(1), field.end()
+        if start == len(text):
+            raise _error(text, start, "missing 'matrix:' or 'vector:' body")
+        if not key:
+            raise _error(text, start, f"expected a field name, found {text[start]!r}")
+        if not field[2]:
+            raise _error(text, field.start(2), f"expected ':' after field name {key!r}")
+        if key in fields:
+            raise _error(text, pos, f"duplicate field {key!r}")
         if key in ("matrix", "vector"):
-            body_key = key
-            payload = _parse_payload(scanner)
             break
-        if key == "version":
-            fields["version"] = scanner.read_token()
-        elif key == "kind":
-            fields["kind"] = scanner.read_token()
-        elif key == "dims":
-            group = scanner.read_bracket_group()
-            try:
-                dims = tuple(int(x.strip()) for x in group[1:-1].split(",") if x.strip())
-            except ValueError as exc:
-                raise scanner.error(f"dims must be integers: {exc}") from exc
-            fields["dims"] = dims
-        elif key == "labels":
-            group = scanner.read_bracket_group()
-            fields["labels"] = tuple(
-                x.strip() for x in group[1:-1].split(",") if x.strip()
-            )
+        if key in ("version", "kind"):
+            value = _VALUE.match(text, pos)
+            if not value[1]:
+                raise _error(text, value.start(1), "expected a value")
+            fields[key], pos = value[1], value.end()
+        elif key in ("dims", "labels"):
+            fields[key], pos = _group(text, pos)
+            if key == "dims":
+                try:
+                    fields[key] = tuple(int(x) for x in fields[key])
+                except ValueError as exc:
+                    raise _error(text, pos, f"dims must be integers: {exc}") from exc
         else:
-            raise scanner.error(f"unknown field {key!r}")
+            raise _error(text, pos, f"unknown field {key!r}")
+
+    start = _VALUE.match(text, pos).start(1)
+    if start == len(text):
+        raise _error(text, start, "missing array body")
+    body = text[start:]
+    try:
+        payload = json.loads(body, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise _error(text, start + exc.pos, f"array syntax error: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise _error(text, start, str(exc)) from exc
 
     version = fields.get("version")
     if version is None:
@@ -261,11 +211,11 @@ def parse_content(text: str) -> StateFileContent:
     kind = fields.get("kind")
     if kind is None:
         raise StateFileError("missing 'kind' field")
-    if kind not in _KINDS:
-        raise StateFileError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if body_key != _BODY_KEY[kind]:
+    if kind not in _BODY_KEY:
+        raise StateFileError(f"kind must be one of {tuple(_BODY_KEY)}, got {kind!r}")
+    if key != _BODY_KEY[kind]:
         raise StateFileError(
-            f"kind {kind!r} requires a '{_BODY_KEY[kind]}:' body, found '{body_key}:'"
+            f"kind {kind!r} requires a '{_BODY_KEY[kind]}:' body, found '{key}:'"
         )
     dims = fields.get("dims")
     if dims is None:
@@ -276,32 +226,21 @@ def parse_content(text: str) -> StateFileContent:
 
     labels = fields.get("labels", default_labels(len(dims)))
     if len(labels) != len(dims):
-        raise StateFileError(
-            f"{len(labels)} labels for {len(dims)} dims"
-        )
+        raise StateFileError(f"{len(labels)} labels for {len(dims)} dims")
     if len(set(labels)) != len(labels):
         raise StateFileError(f"labels must be unique, got {list(labels)}")
 
-    if kind == "pure":
-        array = _payload_to_vector(payload)
-        if array.size != total:
-            raise StateFileError(
-                f"vector length {array.size} does not match dims product {total}"
-            )
-    else:
-        array = _payload_to_matrix(payload)
-        if array.shape != (total, total):
-            raise StateFileError(
-                f"matrix shape {array.shape} does not match dims product {total}"
-            )
+    vector = key == "vector"
+    array = _body(payload, body, vector)
+    if array.shape != (total,) * array.ndim:
+        found = f"vector length {array.size}" if vector else f"matrix shape {array.shape}"
+        raise StateFileError(f"{found} does not match dims product {total}")
 
     try:
-        if kind == "density":
-            value = DensityMatrix(array)
-        elif kind == "pure":
+        if kind == "pure":
             value = PureState(array, tuple(zip(labels, dims)))
         else:
-            value = Observable(array)
+            value = (DensityMatrix if kind == "density" else Observable)(array)
     except ValueError as exc:
         raise StateFileError(str(exc)) from exc
     return StateFileContent(kind, tuple(dims), tuple(labels), value)
@@ -381,57 +320,38 @@ def parse_observable_file(text: str) -> Observable:
     return content.value
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _pair(z: complex) -> str:
-    return f"[{_fmt(z.real)}, {_fmt(z.imag)}]"
-
-
-def _matrix_body(m: np.ndarray) -> str:
-    rows = []
-    for i in range(m.shape[0]):
-        row = ", ".join(_pair(z) for z in m[i])
-        rows.append(f"[{row}]")
-    return "[" + ",\n ".join(rows) + "]"
-
-
-def _vector_body(v: np.ndarray) -> str:
-    return "[" + ",\n ".join(_pair(z) for z in v) + "]"
-
-
 def complex_array_to_pairs(a: np.ndarray) -> list:
     """Nested [re, im] lists for JSON output."""
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [complex_array_to_pairs(row) for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def emit_state_file(obj: BipartiteState | DensityMatrix | PureState | Observable) -> str:
-    """Serialize a state or observable; parse(emit(x)) is bit-exact."""
-    lines = [f"version: {FORMAT_VERSION}"]
-    if isinstance(obj, BipartiteState):
-        lines.append("kind: density")
-        lines.append(f"dims: [{obj.dims.da}, {obj.dims.db}]")
-        lines.append("matrix:")
-        lines.append(_matrix_body(obj.matrix))
-    elif isinstance(obj, DensityMatrix):
-        lines.append("kind: density")
-        lines.append(f"dims: [{obj.dim}]")
-        lines.append("matrix:")
-        lines.append(_matrix_body(obj.matrix))
-    elif isinstance(obj, PureState):
-        lines.append("kind: pure")
-        lines.append(f"dims: [{', '.join(str(d) for d in obj.factor_dims)}]")
-        lines.append(f"labels: [{', '.join(obj.labels)}]")
-        lines.append("vector:")
-        lines.append(_vector_body(obj.amplitudes))
-    elif isinstance(obj, Observable):
-        lines.append("kind: observable")
-        lines.append(f"dims: [{obj.dim}]")
-        lines.append("matrix:")
-        lines.append(_matrix_body(obj.matrix))
+    """Serialize a state or observable; parse(emit(x)) is bit-exact.
+
+    A pure state's labels must read back unchanged, so a label that is
+    empty, holds ``,``, ``[`` or ``]``, or has leading or trailing
+    whitespace raises ``ValueError``.
+    """
+    if isinstance(obj, PureState):
+        kind, dims, array = "pure", obj.factor_dims, obj.amplitudes
+        for label in obj.labels:
+            if not label or label != label.strip() or set(label) & set(",[]"):
+                raise ValueError(f"label {label!r} would not read back from a state file")
+    elif isinstance(obj, BipartiteState):
+        kind, dims, array = "density", obj.dims, obj.matrix
+    elif isinstance(obj, (DensityMatrix, Observable)):
+        kind = "observable" if isinstance(obj, Observable) else "density"
+        dims, array = (obj.dim,), obj.matrix
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(lines) + "\n"
+    labels = f"labels: [{', '.join(obj.labels)}]\n" if kind == "pure" else ""
+    # One template for the body, a line per row; %r is each double's shortest repr.
+    line = "[%r, %r]"
+    if array.ndim == 2:
+        line = "[" + ", ".join([line] * array.shape[1]) + "]"
+    template = "[" + ",\n ".join([line] * array.shape[0]) + "]"
+    body = template % tuple(np.stack([array.real, array.imag], -1).ravel().tolist())
+    return (
+        f"version: {FORMAT_VERSION}\nkind: {kind}\ndims: [{', '.join(map(str, dims))}]\n"
+        f"{labels}{_BODY_KEY[kind]}:\n{body}\n"
+    )

@@ -3,7 +3,8 @@
 ``emit_state_file`` followed by ``parse_content`` must return the stored
 doubles bit for bit and emit the same text again.  States are random
 densities and random pure vectors with 1-4 dimensions per factor; the
-observables mix ordinary doubles with -0.0, subnormals and +-1e300.
+observables mix ordinary doubles with -0.0, subnormals and +-1e300.  A
+pure state's labels read back unchanged, or emit refuses them.
 """
 
 import numpy as np
@@ -71,3 +72,14 @@ def test_observable_bit_exact(m):
     assert content.kind == "observable"
     assert content.value.matrix.tobytes() == m.tobytes()
     assert emit_state_file(content.value) == text
+
+
+@SETTINGS
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+def test_labels_read_back_or_emit_refuses(labels):
+    psi = PureState(np.ones(1), tuple((label, 1) for label in labels))
+    try:
+        text = emit_state_file(psi)
+    except ValueError:
+        return
+    assert parse_content(text).labels == psi.labels

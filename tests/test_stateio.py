@@ -1,5 +1,6 @@
 """Tests for the state file format: grammar, validation, exact round trips."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,33 @@ class TestErrorCorpus:
                              _cases(BODY_ERRORS))
     def test_vector_body(self, matrix, matrix_message, vector, vector_message):
         assert _message(VECTOR_HEAD + vector) == vector_message
+
+    def test_integer_beyond_double_range(self):
+        # used to escape as a bare OverflowError from float()
+        big = "1" + "0" * 399
+        assert _message(f"{MATRIX_HEAD}[[[{big}, 0.0]]]") == (
+            f"matrix entry (0, 0): entries must be finite, got [{big}, 0.0]"
+        )
+        assert _message(f"{VECTOR_HEAD}[[0.0, -{big}]]") == (
+            f"vector entry 0: entries must be finite, got [0.0, -{big}]"
+        )
+
+    def test_nesting_beyond_the_recursion_limit(self):
+        # used to escape as a bare RecursionError from json.loads
+        message = _message(MATRIX_HEAD + "[" * 100_000)
+        assert message.startswith("line 5, column 1: maximum recursion depth exceeded")
+
+
+class TestLabels:
+    @pytest.mark.parametrize("label", ["A,B", "A]", "[A", "", " A", "A\t"])
+    def test_emit_rejects_label_that_would_not_read_back(self, label):
+        # "A,B" read back as two labels, "A]" as a syntax error, "" as none
+        # and " A" as "A"
+        psi = PureState(np.array([1.0, 0.0]), ((label, 2),))
+        assert psi.labels == (label,)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            emit_state_file(psi)
+
 
 class TestRoundTrip:
     def test_canonical_states_bit_exact(self):
