@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from purecorr import purification
 from purecorr.cli import main
 from purecorr.correlation import Observable
 from purecorr.linalg import DimPair, multi_partial_trace
@@ -243,6 +244,36 @@ class TestVerify:
             "--trials", "5", "--seed", "1", "--tol", "10", "--quiet",
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("rank_tol, lines", [
+        (2.0, [
+            "  counterexamples (3):",
+            "    random state: unentangled purification at trial identity: "
+            "entropy 0.986544 bits",
+            "    random state: unentangled purification at trial haar[0]: "
+            "entropy 3.08247 bits",
+            "    random state: unentangled purification at trial haar[1]: "
+            "entropy 2.95155 bits",
+            "  result: FAIL",
+        ]),
+        (-1.0, [
+            "  counterexamples (1):",
+            "    product state: factored purification is entangled: rank 4, "
+            "entropy 0 bits",
+            "  result: FAIL",
+        ]),
+    ])
+    def test_theorem_1_counterexample_lines(self, rank_tol, lines, monkeypatch, capsys):
+        # a rank tolerance no purification can meet (2) or that every one
+        # meets (-1) makes Theorem 1 report counterexamples
+        monkeypatch.setattr(purification, "RANK_TOL", rank_tol)
+        rc = main([
+            "verify", "--theorem", "1", "--dims", "2x3",
+            "--trials", "2", "--seed", "5",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-len(lines):] == lines
 
     def test_bad_dims(self, capsys):
         rc = main([

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from purecorr import purification
 from purecorr.linalg import DimPair, multi_partial_trace, tensor_product
 from purecorr.purification import (
     apply_ancilla_unitary,
@@ -378,6 +379,30 @@ class TestEntanglementCampaign:
         # the Ginibre state's smallest eigenvalue is 1.295e-10; clipping it
         # raised "misses the original state by 1.377e-10"
         assert entanglement_campaign(DimPair(4, 4), 2, 2475038374).passed
+
+    @pytest.mark.parametrize("rank_tol, counterexamples", [
+        # no coefficient exceeds 2: every trial of the random state is
+        # reported, the identity first
+        (2.0, (
+            "random state: unentangled purification at trial identity: "
+            "entropy 0.986544 bits",
+            "random state: unentangled purification at trial haar[0]: "
+            "entropy 3.08247 bits",
+            "random state: unentangled purification at trial haar[1]: "
+            "entropy 2.95155 bits",
+        )),
+        # every coefficient, zeros included, exceeds -1
+        (-1.0, (
+            "product state: factored purification is entangled: rank 4, "
+            "entropy 0 bits",
+        )),
+    ])
+    def test_counterexample_strings(self, rank_tol, counterexamples, monkeypatch):
+        monkeypatch.setattr(purification, "RANK_TOL", rank_tol)
+        report = entanglement_campaign(DimPair(2, 3), 2, 5)
+        assert report.counterexamples == counterexamples
+        assert not report.passed
+        assert report.tolerances["rank_tol"] == rank_tol
 
 
 class TestPurificationInvariant:
