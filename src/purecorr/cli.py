@@ -77,10 +77,10 @@ def _print_output(ns, payload: dict, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
-def _projective_payload(obs: Observable) -> list[dict]:
+def _projective_payload(measurement: list[tuple[float, np.ndarray]]) -> list[dict]:
     return [
         {"outcome": outcome, "projector": complex_array_to_pairs(projector)}
-        for outcome, projector in to_projective(obs)
+        for outcome, projector in measurement
     ]
 
 
@@ -91,6 +91,7 @@ def cmd_analyze(ns) -> int:
     factorable = delta.frobenius_norm <= ns.tol
     eig_a = _hermitian_eig(delta.rho_a).eigenvalues
     eig_b = _hermitian_eig(delta.rho_b).eigenvalues
+    measurements = [to_projective(witness.e), to_projective(witness.f)]
 
     payload = {
         "dims": [rho.dims.da, rho.dims.db],
@@ -104,8 +105,8 @@ def cmd_analyze(ns) -> int:
             "sigma1": witness.sigma1,
             "observable_a": complex_array_to_pairs(witness.e.matrix),
             "observable_b": complex_array_to_pairs(witness.f.matrix),
-            "measurement_a": _projective_payload(witness.e),
-            "measurement_b": _projective_payload(witness.f),
+            "measurement_a": _projective_payload(measurements[0]),
+            "measurement_b": _projective_payload(measurements[1]),
         },
     }
     lines = [
@@ -121,9 +122,9 @@ def cmd_analyze(ns) -> int:
         "witness observable F:",
         *_matrix_lines(witness.f.matrix),
     ]
-    for label, obs in (("E", witness.e), ("F", witness.f)):
+    for label, measurement in zip("EF", measurements):
         lines.append(f"measurement {label} outcomes:")
-        for outcome, projector in to_projective(obs):
+        for outcome, projector in measurement:
             lines.append(f"  outcome {outcome:+.9g}, projector:")
             lines.extend(_matrix_lines(projector, indent="      "))
     _print_output(ns, payload, lines)

@@ -93,12 +93,7 @@ class Purification:
         system = self.system_positions
         if not system or len(system) == len(self.state.layout):
             raise ValueError("purification needs system and ancilla factors")
-        defect = float(np.linalg.norm(self.state.reduced(system) - self.original.matrix))
-        if defect > RECOVERY_TOL:
-            raise ValueError(
-                f"tracing out the ancillas misses the original state by "
-                f"{defect:.3e} (Frobenius)"
-            )
+        _require_recovery(self.state.reduced(system)[None], self.original, stacked=False)
 
     @property
     def system_positions(self) -> list[int]:
@@ -112,6 +107,20 @@ class Purification:
         """Combined dimension of the ancilla factors."""
         dims = self.state.factor_dims
         return self.state.dim // math.prod(dims[i] for i in self.system_positions)
+
+
+def _require_recovery(rho: np.ndarray, original: BipartiteState, stacked: bool) -> None:
+    """Raise unless each trace-normalized reduced state of a ``(T, n, n)`` stack
+    is ``original`` to ``RECOVERY_TOL``; a stack's message names its index."""
+    defect = _frobenius(rho - original.matrix)
+    bad = defect > RECOVERY_TOL
+    failed = _first_failure(bad if stacked else bad[0])
+    if failed:
+        k, where = failed
+        raise ValueError(
+            f"{where}tracing out the ancillas misses the original state by "
+            f"{float(defect[k]):.3e} (Frobenius)"
+        )
 
 
 def _clipped_spectrum(dm: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +205,12 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
     return _trusted(Purification, state=state, original=p.original)
 
 
-def _ancilla_trials(
-    p: Purification, us: np.ndarray, identity: bool = False, stacked: bool = True
-) -> np.ndarray:
+def _ancilla_trials(p: Purification, us: np.ndarray, stacked: bool = True) -> np.ndarray:
     """Amplitudes of ``p`` with each isometry of a ``(T, dc, r)`` stack applied.
 
     Isometry ``t`` maps the first ``r`` ancilla basis states into the whole
-    ancilla.  Returns the resulting vectors as rows in p's layout order,
-    after ``p`` itself when ``identity``.  Each check runs once on the
+    ancilla; ``np.eye(dc, r)`` gives ``p`` itself.  Returns the resulting
+    vectors as rows in p's layout order.  Each check runs once on the
     whole stack: the isometries' columns are orthonormal, ``p`` has no
     amplitude outside those ``r`` basis states, and every result is a
     finite unit vector whose ancilla trace-out recovers ``p.original``.
@@ -234,11 +241,7 @@ def _ancilla_trials(
             f"amplitude outside the first {r} ancilla basis states, "
             f"which a {dc}x{r} isometry does not act on"
         )
-    out = np.empty((identity + len(us), *m.shape), dtype=np.complex128)
-    if identity:
-        out[0] = m
-    trials = out[identity:]
-    np.matmul(m[:, :r], us.swapaxes(-1, -2), out=trials)  # row s becomes U @ psi[s, :r]
+    trials = m[:, :r] @ us.swapaxes(-1, -2)  # row s becomes U @ psi[s, :r]
 
     # the system's reduced states, as PureState.reduced computes them; their
     # traces are the squared norms of the vectors
@@ -253,19 +256,12 @@ def _ancilla_trials(
         k, where = failed
         raise ValueError(f"{where}state vector norm must be 1, got {norms[k]:.12g}")
     rho /= squares[:, None, None]
-    defect = _frobenius(rho - p.original.matrix)
-    failed = failure(defect > RECOVERY_TOL)
-    if failed:
-        k, where = failed
-        raise ValueError(
-            f"{where}tracing out the ancillas misses the original state by "
-            f"{float(defect[k]):.3e} (Frobenius)"
-        )
+    _require_recovery(rho, p.original, stacked)
 
     dims = p.state.factor_dims
     perm = system + [i for i in range(len(dims)) if i not in system]
-    t = out.reshape(len(out), *(dims[i] for i in perm))
-    return t.transpose(0, *(1 + np.argsort(perm))).reshape(len(out), m.size)
+    t = trials.reshape(len(us), *(dims[i] for i in perm))
+    return t.transpose(0, *(1 + np.argsort(perm))).reshape(len(us), m.size)
 
 
 def apply_ancilla_unitary(p: Purification, u) -> Purification:
@@ -290,37 +286,33 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
     return _trusted(Purification, state=state, original=p.original)
 
 
-def _schmidt_report(s: np.ndarray, shape: tuple[int, int]) -> EntanglementReport:
-    """Report on the singular values ``s`` of one ``shape`` cut matrix."""
+def _cut_reports(
+    amps: np.ndarray, dims: tuple[int, ...], rows: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt data of each vector of a ``(T, dim)`` stack across one cut.
+
+    ``rows`` are the layout positions on the left of the cut.  Returns the
+    ``(T, k)`` Schmidt coefficients, the ``(T,)`` Schmidt ranks and the
+    ``(T,)`` entropies in bits, from one ``np.linalg.svd`` of all T cut
+    matrices.
+    """
+    m = _split(amps, dims, rows)
+    s = np.linalg.svd(m, compute_uv=False)
     lam = s * s
-    if abs(float(lam.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"squared Schmidt coefficients sum to {lam.sum():.12g}")
+    sums = lam.sum(-1)
+    failed = _first_failure(np.abs(sums - 1.0) > 1e-9)
+    if failed:
+        raise ValueError(f"squared Schmidt coefficients sum to {sums[failed[0]]:.12g}")
     # A squared coefficient within rounding of 1 or of 0 carries no
     # entropy, only noise: the singular values are accurate to about
     # max(shape) * eps, so only those measurably above 0 whose squares sit
     # measurably below 1 count.  The sum is then never negative or -0.0.
-    noise = max(shape) * np.finfo(float).eps
-    positive = lam[lam > 0.0]
-    bits = -positive * np.log2(positive)
-    measurable = (positive > noise * noise) & (positive < 1.0 - noise)
-    entropy = float(np.where(measurable, bits, 0.0).sum())
-    rank = int(np.count_nonzero(s > RANK_TOL))
-    s = s.copy()
-    s.flags.writeable = False
-    return EntanglementReport(s, rank, entropy, rank > 1)
-
-
-def _cut_reports(
-    amps: np.ndarray, dims: tuple[int, ...], rows: list[int]
-) -> list[EntanglementReport]:
-    """Schmidt data of each vector of a ``(T, dim)`` stack across one cut.
-
-    ``rows`` are the layout positions on the left of the cut; one
-    ``np.linalg.svd`` takes all T cut matrices.
-    """
-    m = _split(amps, dims, rows)
-    spectra = np.linalg.svd(m, compute_uv=False)
-    return [_schmidt_report(s, m.shape[1:]) for s in spectra]
+    noise = max(m.shape[1:]) * np.finfo(float).eps
+    bits = -lam * np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    measurable = (lam > noise * noise) & (lam < 1.0 - noise)
+    entropy = np.where(measurable, bits, 0.0).sum(-1)
+    rank = np.count_nonzero(s > RANK_TOL, axis=-1)
+    return s, rank, entropy
 
 
 def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
@@ -341,7 +333,9 @@ def cut_entanglement(psi: PureState, left: Iterable[str]) -> EntanglementReport:
     if not left or left == set(labels):
         raise ValueError("both sides of a cut must be nonempty")
     rows = [i for i, lab in enumerate(labels) if lab in left]
-    return _cut_reports(psi.amplitudes[None], psi.factor_dims, rows)[0]
+    (s,), (rank,), (entropy,) = _cut_reports(psi.amplitudes[None], psi.factor_dims, rows)
+    s.flags.writeable = False
+    return EntanglementReport(s, int(rank), float(entropy), bool(rank > 1))
 
 
 def verify_purification_entanglement(
@@ -402,34 +396,26 @@ def _purification_trials(
     seeds = _sub_seeds(seed, trials)
 
     # Row 0 is the identity, row i + 1 trial i.
-    found: list[EntanglementReport] = []
+    cuts = []
     for rows in _chunks(trials + 1, 16 * base.state.dim):
-        drawn = seeds[max(rows.start, 1) - 1 : rows.stop - 1]
-        amps = _ancilla_trials(
-            base, _isometries(drawn, dc, support), identity=rows.start == 0
-        )
-        found += _cut_reports(amps, dims, cut)
-    names = ["identity"] + [f"haar[{i}]" for i in range(trials)]
-    reports = list(zip(names, found))
+        us = _isometries(seeds[max(rows.start, 1) - 1 : rows.stop - 1], dc, support)
+        if rows.start == 0:
+            us = np.concatenate([np.eye(dc, support)[None], us])
+        cuts.append(_cut_reports(_ancilla_trials(base, us), dims, cut))
+    _, rank, entropy = (np.concatenate(x) for x in zip(*cuts))
 
-    entropies = np.array([rep.entropy_bits for _, rep in reports])
-    counterexamples: list[str] = []
     if factorable:
-        identity_rep = reports[0][1]
-        if identity_rep.entangled:
-            counterexamples.append(
-                f"factored purification is entangled: rank "
-                f"{identity_rep.schmidt_rank}, entropy "
-                f"{identity_rep.entropy_bits:.6g} bits"
-            )
+        counterexamples = [
+            f"factored purification is entangled: rank {rank[0]}, "
+            f"entropy {entropy[0]:.6g} bits"
+        ] if rank[0] > 1 else []
         claim = "a factorable state has an unentangled purification"
     else:
-        for name, rep in reports:
-            if not rep.entangled:
-                counterexamples.append(
-                    f"unentangled purification at trial {name}: entropy "
-                    f"{rep.entropy_bits:.6g} bits"
-                )
+        counterexamples = [
+            f"unentangled purification at trial "
+            f"{f'haar[{t - 1}]' if t else 'identity'}: entropy {entropy[t]:.6g} bits"
+            for t in np.flatnonzero(rank <= 1)
+        ]
         claim = "every purification of a non-factorable state is entangled"
 
     da, db = rho.dims
@@ -443,13 +429,12 @@ def _purification_trials(
         ),
         seed=int(seed),
         trials=int(trials),
-        passed=not counterexamples,
         counterexamples=tuple(counterexamples),
         stats={
             "factorable": float(factorable),
-            "identity_entropy_bits": float(reports[0][1].entropy_bits),
-            "min_entropy_bits": float(entropies.min()),
-            "max_entropy_bits": float(entropies.max()),
+            "identity_entropy_bits": float(entropy[0]),
+            "min_entropy_bits": float(entropy.min()),
+            "max_entropy_bits": float(entropy.max()),
         },
         tolerances={
             "rank_tol": RANK_TOL,
@@ -502,7 +487,6 @@ def entanglement_campaign(
         ),
         seed=int(seed),
         trials=int(trials),
-        passed=not counterexamples,
         counterexamples=counterexamples,
         stats=stats,
         tolerances=dict(rep_main.tolerances),

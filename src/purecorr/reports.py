@@ -24,7 +24,6 @@ class TheoremReport:
     ensemble: str
     seed: int
     trials: int
-    passed: bool
     counterexamples: tuple[str, ...]
     stats: dict[str, float] = field(default_factory=dict)
     tolerances: dict[str, float] = field(default_factory=dict)
@@ -32,8 +31,10 @@ class TheoremReport:
 
     def __post_init__(self):
         object.__setattr__(self, "counterexamples", tuple(self.counterexamples))
-        if self.passed != (len(self.counterexamples) == 0):
-            raise ValueError("passed must mirror an empty counterexample list")
+
+    @property
+    def passed(self) -> bool:
+        return not self.counterexamples
 
     def to_dict(self) -> dict:
         return {

@@ -109,6 +109,12 @@ def _group(text: str, pos: int) -> tuple[tuple[str, ...], int]:
     raise _error(text, start, "unterminated '['")
 
 
+def _readable_label(label: str) -> bool:
+    """Whether a factor label reads back unchanged from a ``labels:`` line:
+    nonempty, without ``,``, ``[`` or ``]``, and without outer whitespace."""
+    return bool(label) and label == label.strip() and not set(label) & set(",[]")
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
@@ -183,6 +189,8 @@ def parse_content(text: str) -> StateFileContent:
                 raise _error(text, value.start(1), "expected a value")
             fields[key], pos = value[1], value.end()
         elif key in ("dims", "labels"):
+            if key == "labels":
+                labels_at = pos
             fields[key], pos = _group(text, pos)
             if key == "dims":
                 try:
@@ -229,6 +237,11 @@ def parse_content(text: str) -> StateFileContent:
         raise StateFileError(f"{len(labels)} labels for {len(dims)} dims")
     if len(set(labels)) != len(labels):
         raise StateFileError(f"labels must be unique, got {list(labels)}")
+    # _group drops empty items and outer blanks: only a bracket can be left
+    bad = [x for x in labels if not _readable_label(x)]
+    if bad:
+        where = text.index(bad[0], labels_at)
+        raise _error(text, where, f"label {bad[0]!r} must not contain '[' or ']'")
 
     vector = key == "vector"
     array = _body(payload, body, vector)
@@ -335,7 +348,7 @@ def emit_state_file(obj: BipartiteState | DensityMatrix | PureState | Observable
     if isinstance(obj, PureState):
         kind, dims, array = "pure", obj.factor_dims, obj.amplitudes
         for label in obj.labels:
-            if not label or label != label.strip() or set(label) & set(",[]"):
+            if not _readable_label(label):
                 raise ValueError(f"label {label!r} would not read back from a state file")
     elif isinstance(obj, BipartiteState):
         kind, dims, array = "density", obj.dims, obj.matrix

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from purecorr import purification
+from purecorr import cli, purification
 from purecorr.cli import main
-from purecorr.correlation import Observable
+from purecorr.correlation import Observable, to_projective
 from purecorr.linalg import DimPair, multi_partial_trace
 from purecorr.states import DensityMatrix, example_source_state, ghz, random_density
 from purecorr.stateio import emit_state_file, parse_state_file
@@ -31,6 +31,19 @@ def ghz_file(tmp_path):
     return str(path)
 
 
+def _fresh_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
+def _fresh_cli(argv: list[str]) -> list[str]:
+    """Command line of a fresh ``purecorr`` process printing ``--json``."""
+    return [sys.executable, "-m", "purecorr.cli", *argv, "--json"]
+
+
 class TestAnalyze:
     def test_source_state(self, eq2_file, capsys):
         assert main(["analyze", eq2_file]) == 0
@@ -46,6 +59,19 @@ class TestAnalyze:
         assert payload["delta_frobenius_norm"] == pytest.approx(0.5, abs=1e-12)
         assert payload["witness"]["sigma1"] == pytest.approx(0.5, abs=1e-9)
         assert len(payload["witness"]["measurement_a"]) == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_each_measurement_is_computed_once(self, flags, eq2_file, monkeypatch, capsys):
+        calls = []
+
+        def counting(obs):
+            calls.append(obs)
+            return to_projective(obs)
+
+        monkeypatch.setattr(cli, "to_projective", counting)
+        assert main(["analyze", eq2_file, *flags]) == 0
+        assert "measurement" in capsys.readouterr().out
+        assert len(calls) == 2
 
     def test_ghz_traced_matches_source_byte_identical(
         self, eq2_file, ghz_file, capsys
@@ -147,16 +173,12 @@ class TestPurify:
         # the same state file in a fresh process, import included.
         source = Path(__file__).parent / "golden" / "purify_input_2x2_rank3_seed6.state"
         out = tmp_path / "purified.state"
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
         runs = []
         for _ in range(2):
             outputs = [
                 subprocess.run(
-                    [sys.executable, "-m", "purecorr.cli", *argv, "--json"],
-                    env=env, capture_output=True, text=True, check=True,
+                    _fresh_cli(argv), env=_fresh_env(),
+                    capture_output=True, text=True, check=True,
                 ).stdout
                 for argv in (
                     ["purify", str(source), "--ancilla-dims", "4,4",
@@ -244,6 +266,23 @@ class TestVerify:
             "--trials", "5", "--seed", "1", "--tol", "10", "--quiet",
         ])
         assert rc == 1
+
+    def test_fresh_processes_print_identical_reports(self):
+        # each campaign runs twice as a fresh process, import included; the
+        # four processes run side by side
+        commands = [
+            ["verify", "--theorem", "1", "--dims", "2x2", "--trials", "2", "--seed", "4"],
+            ["verify", "--theorem", "2", "--dims", "2x2", "--trials", "5", "--seed", "3"],
+        ] * 2
+        procs = [
+            subprocess.Popen(_fresh_cli(argv), env=_fresh_env(),
+                             stdout=subprocess.PIPE, text=True)
+            for argv in commands
+        ]
+        outputs = [proc.communicate()[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4
+        assert outputs[:2] == outputs[2:]
+        assert [json.loads(out)["theorem"] for out in outputs[:2]] == [1, 2]
 
     @pytest.mark.parametrize("rank_tol, lines", [
         (2.0, [

@@ -3,10 +3,10 @@
 ``random_isometry`` is the batch of one of ``_isometries``;
 ``apply_ancilla_unitary`` and ``cut_entanglement`` are the batch of one of
 ``_ancilla_trials`` and ``_cut_reports``, the kernel that
-``verify_purification_entanglement`` runs on the identity and all sampled
-trials of a state at once.  Each row of a stack must be bit for bit what
-the per-state functions give, and bad input must be rejected with the
-messages the library has always given.
+``verify_purification_entanglement`` runs on all trials of a state at once,
+the identity ``np.eye(dc, r)`` first.  Each row of a stack must be bit for
+bit what the per-state functions give, and bad input must be rejected with
+the messages the library has always given.
 """
 
 import re
@@ -74,12 +74,17 @@ states = st.builds(DimPair, st.integers(1, 3), st.integers(1, 3)).flatmap(
 )
 
 
-def _assert_same_report(stacked, single):
-    coefficients = stacked.schmidt_coefficients, single.schmidt_coefficients
-    assert coefficients[0].tobytes() == coefficients[1].tobytes()
-    assert stacked.schmidt_rank == single.schmidt_rank
-    assert repr(stacked.entropy_bits) == repr(single.entropy_bits)
-    assert stacked.entangled == single.entangled
+def _assert_same_report(coefficients, rank, entropy, single):
+    """One row of ``_cut_reports`` against the ``cut_entanglement`` report."""
+    assert coefficients.tobytes() == single.schmidt_coefficients.tobytes()
+    assert rank == single.schmidt_rank
+    assert repr(float(entropy)) == repr(single.entropy_bits)
+    assert (rank > 1) == single.entangled
+
+
+def _with_identity(us):
+    """The campaign's stack: ``np.eye(dc, r)`` as row 0, then ``us``."""
+    return np.concatenate([np.eye(*us.shape[1:])[None], us])
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,17 +92,18 @@ def _assert_same_report(stacked, single):
 def test_stacked_trials_equal_the_batch_of_one(rho, seeds):
     """Rank-deficient, full-rank and product states on square and non-square dims."""
     base, support = _base(rho)
-    us = _isometries(seeds, base.ancilla_dim, support)
-    amps = _ancilla_trials(base, us, identity=True)
+    us = _with_identity(_isometries(seeds, base.ancilla_dim, support))
+    amps = _ancilla_trials(base, us)
     cut = [i for i, lab in enumerate(base.state.labels) if lab in CUT]
     stacked = _cut_reports(amps, base.state.factor_dims, cut)
-    assert len(stacked) == len(seeds) + 1
-    assert amps[0].tobytes() == base.state.amplitudes.tobytes()
-    _assert_same_report(stacked[0], cut_entanglement(base.state, CUT))
-    for u, row, report in zip(us, amps[1:], stacked[1:]):
+    assert [len(x) for x in stacked] == [len(seeds) + 1] * 3
+    # the eye row may flip the sign of a zero amplitude, never its value
+    assert np.array_equal(amps[0], base.state.amplitudes)
+    _assert_same_report(*(x[0] for x in stacked), cut_entanglement(base.state, CUT))
+    for t, (u, row) in enumerate(zip(us, amps)):
         single = apply_ancilla_unitary(base, u).state
         assert row.tobytes() == single.amplitudes.tobytes()
-        _assert_same_report(report, cut_entanglement(single, CUT))
+        _assert_same_report(*(x[t] for x in stacked), cut_entanglement(single, CUT))
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,13 +151,13 @@ def test_rotated_base_rejects_a_narrow_isometry():
         apply_ancilla_unitary(rotated, random_isometry(4, 2, 3))
 
 
-@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("bad", [0, 2, 3])
 def test_stack_names_its_first_non_isometry(bad):
-    us = _isometries([1, 2, 3], 4, 2)
+    us = _with_identity(_isometries([1, 2, 3], 4, 2))
     us[bad] *= 2
     message = f"stack index {bad}: matrix is not unitary: columns miss orthonormality"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        _ancilla_trials(_padded_source(), us, identity=True)
+        _ancilla_trials(_padded_source(), us)
 
 
 def test_stack_names_its_first_non_finite_isometry():
@@ -168,7 +174,9 @@ def test_stack_checks_the_norm_of_every_trial():
     p = _trusted(Purification, state=doubled, original=base.original)
     message = "stack index 0: state vector norm must be 1, got 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _ancilla_trials(p, _isometries([1, 2], 4, 2), identity=True)
+        _ancilla_trials(p, _with_identity(_isometries([1, 2], 4, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _ancilla_trials(p, _isometries([1, 2], 4, 2))
 
 
 def test_stack_checks_the_recovery_of_every_trial():
@@ -178,6 +186,9 @@ def test_stack_checks_the_recovery_of_every_trial():
     message = "stack index 0: tracing out the ancillas misses the original state by"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         _ancilla_trials(p, _isometries([1, 2], 4, 2))
+    # the identity row is checked like any other
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        _ancilla_trials(p, _with_identity(_isometries([1, 2], 4, 2)))
     with pytest.raises(ValueError, match="^tracing out the ancillas misses"):
         apply_ancilla_unitary(p, random_unitary(4, 1))
 
@@ -196,10 +207,10 @@ def test_cut_checks_the_schmidt_sum_of_every_trial():
 
 def test_stack_rejects_amplitude_outside_the_support():
     with pytest.raises(ValueError, match="^amplitude outside the first 1 ancilla"):
-        _ancilla_trials(_padded_source(), _isometries([1, 2], 4, 1), identity=True)
+        _ancilla_trials(_padded_source(), _with_identity(_isometries([1, 2], 4, 1)))
 
 
 def test_identity_alone():
     base = _padded_source()
-    amps = _ancilla_trials(base, _isometries([], 4, 2), identity=True)
+    amps = _ancilla_trials(base, _with_identity(_isometries([], 4, 2)))
     assert amps.tobytes() == base.state.amplitudes.tobytes()

@@ -4,7 +4,8 @@
 doubles bit for bit and emit the same text again.  States are random
 densities and random pure vectors with 1-4 dimensions per factor; the
 observables mix ordinary doubles with -0.0, subnormals and +-1e300.  A
-pure state's labels read back unchanged, or emit refuses them.
+pure state's labels read back unchanged, or emit refuses them; and a pure
+file whose ``labels:`` line parses emits back to the same state.
 """
 
 import numpy as np
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 
 from purecorr.linalg import DimPair
 from purecorr.states import Observable, PureState, random_density, random_pure
-from purecorr.stateio import content_to_state, emit_state_file, parse_content
+from purecorr.stateio import (
+    StateFileError,
+    content_to_state,
+    emit_state_file,
+    parse_content,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -83,3 +89,30 @@ def test_labels_read_back_or_emit_refuses(labels):
     except ValueError:
         return
     assert parse_content(text).labels == psi.labels
+
+
+label_items = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", " ", "[", "[ "]), st.text("AB\t", max_size=2),
+              st.sampled_from(["", " ", "]", "] "])),
+)
+
+
+@SETTINGS
+@given(st.lists(label_items, min_size=1, max_size=3))
+def test_every_parsed_labels_line_emits_back(items):
+    # one item per factor of dimension 1, wrapped in blanks and brackets
+    # that the parser must either refuse or read as a label emit accepts
+    text = (
+        f"version: 1\nkind: pure\ndims: [{', '.join('1' * len(items))}]\n"
+        f"labels: [{','.join(items)}]\nvector: [[1.0, 0.0]]\n"
+    )
+    try:
+        content = parse_content(text)
+    except StateFileError:
+        return
+    emitted = emit_state_file(content.value)
+    back = parse_content(emitted)
+    assert back.labels == content.labels
+    assert back.value.amplitudes.tobytes() == content.value.amplitudes.tobytes()
+    assert emit_state_file(back.value) == emitted

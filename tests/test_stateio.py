@@ -318,6 +318,11 @@ HEADER_ERRORS = [
      "line 4, column 11: unterminated '['"),
     ('labels-no-bracket', 'version: 1\nkind: pure\ndims: [2]\nlabels: A\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
      "line 4, column 9: expected '['"),
+    # emit_state_file would refuse the label '[B]'
+    ('labels-bracketed', 'version: 1\nkind: pure\ndims: [2]\nlabels: [[B]]\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
+     "line 4, column 10: label '[B]' must not contain '[' or ']'"),
+    ('labels-bracketed-second', 'version: 1\nkind: density\ndims: [1, 1]\nlabels: [A, [B]]\nmatrix: [[[1.0, 0.0]]]\n',
+     "line 4, column 13: label '[B]' must not contain '[' or ']'"),
 ]
 
 BODY_ERRORS = [
