@@ -209,11 +209,11 @@ def _ancilla_trials(p: Purification, us: np.ndarray, stacked: bool = True) -> np
     """Amplitudes of ``p`` with each isometry of a ``(T, dc, r)`` stack applied.
 
     Isometry ``t`` maps the first ``r`` ancilla basis states into the whole
-    ancilla; ``np.eye(dc, r)`` gives ``p`` itself.  Returns the resulting
-    vectors as rows in p's layout order.  Each check runs once on the
-    whole stack: the isometries' columns are orthonormal, ``p`` has no
-    amplitude outside those ``r`` basis states, and every result is a
-    finite unit vector whose ancilla trace-out recovers ``p.original``.
+    ancilla; ``np.eye(dc, r)`` gives ``p`` itself, bit for bit.  Returns
+    the resulting vectors as rows in p's layout order.  Each check runs
+    once on the whole stack: the isometries' columns are orthonormal, ``p``
+    has no amplitude outside those ``r`` basis states, and every result is
+    a finite unit vector whose ancilla trace-out recovers ``p.original``.
     With ``stacked``, a message names the index in ``us`` of the first
     failure; without it, ``us`` holds one isometry and the messages are
     those of a single one.
@@ -242,6 +242,8 @@ def _ancilla_trials(p: Purification, us: np.ndarray, stacked: bool = True) -> np
             f"which a {dc}x{r} isometry does not act on"
         )
     trials = m[:, :r] @ us.swapaxes(-1, -2)  # row s becomes U @ psi[s, :r]
+    # a product can flip a zero's sign, and so the cut SVD: an eye row copies p
+    trials[(us == np.eye(dc, r)).all((-2, -1))] = m
 
     # the system's reduced states, as PureState.reduced computes them; their
     # traces are the squared norms of the vectors

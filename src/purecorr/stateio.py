@@ -189,8 +189,8 @@ def parse_content(text: str) -> StateFileContent:
                 raise _error(text, value.start(1), "expected a value")
             fields[key], pos = value[1], value.end()
         elif key in ("dims", "labels"):
-            if key == "labels":
-                labels_at = pos
+            if key == "labels":  # just inside the group's '['
+                labels_at = _VALUE.match(text, pos).start(1) + 1
             fields[key], pos = _group(text, pos)
             if key == "dims":
                 try:
@@ -237,7 +237,8 @@ def parse_content(text: str) -> StateFileContent:
         raise StateFileError(f"{len(labels)} labels for {len(dims)} dims")
     if len(set(labels)) != len(labels):
         raise StateFileError(f"labels must be unique, got {list(labels)}")
-    # _group drops empty items and outer blanks: only a bracket can be left
+    # _group drops empty items and outer blanks: only a bracket can be left.
+    # A good label holds none, so the first match inside the group is bad[0].
     bad = [x for x in labels if not _readable_label(x)]
     if bad:
         where = text.index(bad[0], labels_at)

@@ -97,8 +97,7 @@ def test_stacked_trials_equal_the_batch_of_one(rho, seeds):
     cut = [i for i, lab in enumerate(base.state.labels) if lab in CUT]
     stacked = _cut_reports(amps, base.state.factor_dims, cut)
     assert [len(x) for x in stacked] == [len(seeds) + 1] * 3
-    # the eye row may flip the sign of a zero amplitude, never its value
-    assert np.array_equal(amps[0], base.state.amplitudes)
+    assert amps[0].tobytes() == base.state.amplitudes.tobytes()
     _assert_same_report(*(x[0] for x in stacked), cut_entanglement(base.state, CUT))
     for t, (u, row) in enumerate(zip(us, amps)):
         single = apply_ancilla_unitary(base, u).state
@@ -214,3 +213,17 @@ def test_identity_alone():
     base = _padded_source()
     amps = _ancilla_trials(base, _with_identity(_isometries([], 4, 2)))
     assert amps.tobytes() == base.state.amplitudes.tobytes()
+
+
+def test_identity_keeps_the_sign_of_a_zero():
+    # a product through np.eye would turn these -0.0 parts into +0.0
+    base = _padded_source()
+    flipped = base.state.amplitudes.copy()
+    flipped.real[flipped.real == 0] = -0.0
+    flipped.imag[flipped.imag == 0] = -0.0
+    psi = _trusted(PureState, amplitudes=flipped, layout=base.state.layout)
+    p = _trusted(Purification, state=psi, original=base.original)
+    amps = _ancilla_trials(p, _with_identity(_isometries([1], 4, 2)))
+    assert amps[0].tobytes() == flipped.tobytes()
+    stacked = _cut_reports(amps, psi.factor_dims, [0, 2])
+    _assert_same_report(*(x[0] for x in stacked), cut_entanglement(psi, CUT))

@@ -323,6 +323,9 @@ HEADER_ERRORS = [
      "line 4, column 10: label '[B]' must not contain '[' or ']'"),
     ('labels-bracketed-second', 'version: 1\nkind: density\ndims: [1, 1]\nlabels: [A, [B]]\nmatrix: [[[1.0, 0.0]]]\n',
      "line 4, column 13: label '[B]' must not contain '[' or ']'"),
+    # the bad label '[x' repeats the text of a good one and opens its group
+    ('labels-bracketed-repeat', 'version: 1\nkind: pure\ndims: [1, 1, 1]\nlabels: [x, [x, y]]\nvector: [[1.0, 0.0]]\n',
+     "line 4, column 13: label '[x' must not contain '[' or ']'"),
 ]
 
 BODY_ERRORS = [
