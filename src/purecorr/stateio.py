@@ -96,12 +96,16 @@ def _error(text: str, pos: int, message: str) -> StateFileError:
 
 
 def _group(text: str, pos: int) -> tuple[tuple[str, ...], int]:
-    """Nonempty comma-separated items of the ``[...]`` group at ``pos``, and its end."""
+    """Nonempty comma-separated items of the ``[...]`` group at ``pos``, and its end.
+
+    The group closes on the line it opens on.
+    """
     start = _VALUE.match(text, pos).start(1)
     if not text.startswith("[", start):
         raise _error(text, start, "expected '['")
+    end = text.find("\n", start)
     depth = 0
-    for bracket in _BRACKET.finditer(text, start):
+    for bracket in _BRACKET.finditer(text, start, end if end >= 0 else len(text)):
         depth += 1 if bracket[0] == "[" else -1
         if not depth:
             items = (x.strip() for x in text[start + 1:bracket.start()].split(","))
@@ -111,8 +115,9 @@ def _group(text: str, pos: int) -> tuple[tuple[str, ...], int]:
 
 def _readable_label(label: str) -> bool:
     """Whether a factor label reads back unchanged from a ``labels:`` line:
-    nonempty, without ``,``, ``[`` or ``]``, and without outer whitespace."""
-    return bool(label) and label == label.strip() and not set(label) & set(",[]")
+    nonempty, without ``,``, ``[``, ``]`` or a line end, and without outer
+    whitespace."""
+    return bool(label) and label == label.strip() and not set(label) & set(",[]\n")
 
 
 def _reject_constant(token: str):
@@ -343,8 +348,8 @@ def emit_state_file(obj: BipartiteState | DensityMatrix | PureState | Observable
     """Serialize a state or observable; parse(emit(x)) is bit-exact.
 
     A pure state's labels must read back unchanged, so a label that is
-    empty, holds ``,``, ``[`` or ``]``, or has leading or trailing
-    whitespace raises ``ValueError``.
+    empty, holds ``,``, ``[``, ``]`` or a line end, or has leading or
+    trailing whitespace raises ``ValueError``.
     """
     if isinstance(obj, PureState):
         kind, dims, array = "pure", obj.factor_dims, obj.amplitudes

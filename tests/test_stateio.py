@@ -316,6 +316,11 @@ HEADER_ERRORS = [
      "labels must be unique, got ['B', 'B']"),
     ('labels-unterminated', 'version: 1\nkind: pure\ndims: [2]\n  labels: [A\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
      "line 4, column 11: unterminated '['"),
+    # a group closes on its own line, so it cannot swallow the body after it
+    ('labels-unbalanced', 'version: 1\nkind: pure\ndims: [1]\nlabels: [[A]\nvector: [[1.0, 0.0]]]\n',
+     "line 4, column 9: unterminated '['"),
+    ('labels-unbalanced-two-line-body', 'version: 1\nkind: pure\ndims: [2]\nlabels: [[A]\nvector: [[1.0, 0.0],\n [0.0, 0.0]]]\n',
+     "line 4, column 9: unterminated '['"),
     ('labels-no-bracket', 'version: 1\nkind: pure\ndims: [2]\nlabels: A\nvector: [[1.0, 0.0], [0.0, 0.0]]\n',
      "line 4, column 9: expected '['"),
     # emit_state_file would refuse the label '[B]'
@@ -503,10 +508,10 @@ class TestErrorCorpus:
 
 
 class TestLabels:
-    @pytest.mark.parametrize("label", ["A,B", "A]", "[A", "", " A", "A\t"])
+    @pytest.mark.parametrize("label", ["A,B", "A]", "[A", "", " A", "A\t", "A\nB"])
     def test_emit_rejects_label_that_would_not_read_back(self, label):
-        # "A,B" read back as two labels, "A]" as a syntax error, "" as none
-        # and " A" as "A"
+        # "A,B" read back as two labels, "A]" as a syntax error, "" as none,
+        # " A" as "A" and "A\nB" as a group left open on its line
         psi = PureState(np.array([1.0, 0.0]), ((label, 2),))
         assert psi.labels == (label,)
         with pytest.raises(ValueError, match=re.escape(repr(label))):
