@@ -1,5 +1,9 @@
 """Tests for covariance, factorability, witness synthesis and sampling."""
 
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from scipy.stats import chi2
 
 from purecorr.correlation import (
     Observable,
+    _chi2_sf,
     brute_force_max_covariance,
     chi_square_goodness,
     chi_square_homogeneity,
@@ -406,6 +411,61 @@ class TestSampling:
         assert violations <= 1
 
 
+EPS = 2.0**-52
+
+
+def _oracle_tail(stat: float, dof: int) -> mpmath.mpf:
+    """Q(dof, stat) to 50 digits: the regularized upper incomplete gamma."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2, mpmath.inf,
+                               regularized=True)
+
+
+def _tail_bound(stat: float, dof: int) -> float:
+    """The relative error bound that ``_chi2_sf``'s docstring derives."""
+    return (0.75 * (dof + stat) + 6) * EPS
+
+
+def _grid_pvalues():
+    """(cells, (stat, dof, p-value)) of goodness and homogeneity tables.
+
+    The tables are built so that the statistic sweeps 1e-6..2000 at every
+    dof in 1..63 and at dof 99, 100, 255, 256, 399 and 400.
+    """
+    mean = 1e4
+    for cells in [*range(2, 65), 100, 101, 256, 257, 400, 401]:
+        shift = np.zeros(cells)
+        shift[:2] = [1.0, -1.0]
+        for target in np.geomspace(1e-6, 2000.0, 40):
+            a = np.sqrt(target * mean / 2)
+            yield cells, chi_square_goodness(mean + a * shift, np.full(cells, 1 / cells))
+            b = np.sqrt(target * mean / 4)
+            yield cells, chi_square_homogeneity(mean + b * shift, mean - b * shift)
+
+
+TAIL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+tail_dofs = st.integers(1, 400)
+# moderate statistics, where the tail is neither 1 nor 0, and the whole range
+tail_stats = st.one_of(st.floats(0, 3000), st.floats(0, 1e300))
+# absolute slack where the true tail is below 1e-300
+TINY = 1e-290
+
+
+def _quiet_tail(stat: float, dof: int) -> float:
+    """``_chi2_sf`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _chi2_sf(stat, dof)
+
+
+def _assert_matches_oracle(stat: float, dof: int, pvalue: float) -> None:
+    tail = _oracle_tail(stat, dof)
+    if tail < 1e-300:
+        assert 0.0 <= pvalue <= TINY, (stat, dof, pvalue)
+    else:
+        assert abs(pvalue - tail) <= _tail_bound(stat, dof) * tail, (stat, dof)
+
+
 class TestChiSquare:
     def test_goodness_accepts_true_distribution(self):
         rng = np.random.default_rng(0)
@@ -455,23 +515,63 @@ class TestChiSquare:
         with pytest.raises(ValueError, match="nonzero total"):
             chi_square_homogeneity(np.zeros(3), np.zeros(3))
 
-    def test_pvalues_equal_scipy_chi2_sf_bit_for_bit(self):
-        # Tables built so that the statistic sweeps 1e-6..2000 at every
-        # dof in 1..63; scipy.stats is the oracle for the tail.
-        mean = 1e4
-        for cells in range(2, 65):
-            shift = np.zeros(cells)
-            shift[:2] = [1.0, -1.0]
-            for target in np.geomspace(1e-6, 2000.0, 40):
-                a = np.sqrt(target * mean / 2)
-                counts = mean + a * shift
-                stat, dof, pvalue = chi_square_goodness(counts, np.full(cells, 1 / cells))
-                assert dof == cells - 1
-                assert pvalue == chi2.sf(stat, dof), (stat, dof)
-                b = np.sqrt(target * mean / 4)
-                stat, dof, pvalue = chi_square_homogeneity(mean + b * shift, mean - b * shift)
-                assert dof == cells - 1
-                assert pvalue == chi2.sf(stat, dof), (stat, dof)
+    def test_pvalues_match_50_digit_oracle(self):
+        for cells, (stat, dof, pvalue) in _grid_pvalues():
+            assert dof == cells - 1
+            _assert_matches_oracle(stat, dof, pvalue)
+
+    def test_pvalues_match_scipy_chi2_sf(self):
+        # scipy's chdtrc errs by up to 30 (dof + stat) eps against the 50-digit
+        # tail on this grid, and by 39.4 on a denser one; 64 (dof + stat) eps
+        # is its bound here.
+        for _, (stat, dof, pvalue) in _grid_pvalues():
+            reference = chi2.sf(stat, dof)
+            bound = _tail_bound(stat, dof) + 64 * (dof + stat) * EPS
+            assert abs(pvalue - reference) <= bound * max(pvalue, reference) + TINY, (
+                stat, dof)
+
+
+class TestChiSquareTail:
+    def test_matches_the_oracle_where_e_minus_h_underflows(self):
+        # e^-h leaves the normal range at stat 1416.8 and rounds to 0 at 1490.3
+        for dof in [1, 2, 3, 4, 299, 300, 399, 400]:
+            for stat in np.linspace(1400.0, 1500.0, 41):
+                _assert_matches_oracle(float(stat), dof, _chi2_sf(float(stat), dof))
+
+    @TAIL_SETTINGS
+    @given(tail_stats, tail_dofs)
+    def test_is_a_probability(self, stat, dof):
+        assert 0.0 <= _quiet_tail(stat, dof) <= 1.0
+
+    @TAIL_SETTINGS
+    @given(tail_stats, tail_stats, tail_dofs)
+    def test_nonincreasing_in_stat(self, x1, x2, dof):
+        lo, hi = sorted([x1, x2])
+        bound = _tail_bound(lo, dof) + _tail_bound(hi, dof)
+        p_lo, p_hi = _quiet_tail(lo, dof), _quiet_tail(hi, dof)
+        assert p_hi <= p_lo * (1 + bound) + TINY
+
+    @TAIL_SETTINGS
+    @given(tail_stats, tail_dofs)
+    def test_nondecreasing_in_dof(self, stat, dof):
+        bound = _tail_bound(stat, dof) + _tail_bound(stat, dof + 1)
+        assert _quiet_tail(stat, dof + 1) >= _quiet_tail(stat, dof) * (1 - bound) - TINY
+
+    @TAIL_SETTINGS
+    @given(tail_stats, tail_dofs)
+    def test_two_more_dof_add_the_next_term(self, stat, dof):
+        # Q(dof + 2, x) - Q(dof, x) = e^-h h^nu / Gamma(nu + 1), h = x/2, nu = dof/2
+        p, p2 = _quiet_tail(stat, dof), _quiet_tail(stat, dof + 2)
+        with mpmath.workdps(50):
+            h, nu = mpmath.mpf(stat) / 2, mpmath.mpf(dof) / 2
+            term = mpmath.exp(-h) * h**nu / mpmath.gamma(nu + 1)
+            gap = abs(mpmath.mpf(p2) - mpmath.mpf(p) - term)
+        assert gap <= _tail_bound(stat, dof) * p + _tail_bound(stat, dof + 2) * p2 + TINY
+
+    def test_edge_values(self):
+        assert all(_quiet_tail(0.0, dof) == 1.0 for dof in range(1, 401))
+        assert _quiet_tail(7.0, 0) == _quiet_tail(7.0, -1) == 1.0
+        assert _quiet_tail(1e300, 400) == _quiet_tail(math.inf, 3) == 0.0
 
 
 class TestVerifyWitnessCriterion:

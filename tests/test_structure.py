@@ -58,22 +58,17 @@ def test_no_function_local_package_imports(name):
     assert local == [], f"{name} imports purecorr modules inside functions"
 
 
-def _module_level_imports(node: ast.AST) -> list[str]:
-    """Names imported by ``node`` outside any function body."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return []
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom):
-        return [node.module or ""] if node.level == 0 else []
-    return [n for child in ast.iter_child_nodes(node) for n in _module_level_imports(child)]
-
-
 @pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
 def test_no_module_level_scipy_import(name):
-    imported = _module_level_imports(_parse(name))
+    """No module imports scipy, at module level or inside a function."""
+    imported = []
+    for node in ast.walk(_parse(name)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
     scipy = [n for n in imported if n == "scipy" or n.startswith("scipy.")]
-    assert scipy == [], f"{name} imports {scipy} at module level"
+    assert scipy == [], f"{name} imports {scipy}"
 
 
 SCIPY_FREE_RUN = textwrap.dedent(
@@ -96,30 +91,25 @@ SCIPY_FREE_RUN = textwrap.dedent(
         ["analyze", str(tmp / "pure.state"), "--trace-out", "C1,C2"],
         ["verify", "--theorem", "1", "--dims", "2x2", "--trials", "2", "--seed", "1"],
         ["verify", "--theorem", "2", "--dims", "2x2", "--trials", "2", "--seed", "1"],
+        ["sample", str(rho), "--obs-a", "z", "--obs-b", "z",
+         "--trials", "200", "--seed", "1"],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in runs:
             assert purecorr.cli.main(argv) == 0, argv
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-    with contextlib.redirect_stdout(io.StringIO()):
-        argv = ["sample", str(rho), "--obs-a", "z", "--obs-b", "z",
-                "--trials", "200", "--seed", "1"]
-        assert purecorr.cli.main(argv) == 0
-    print("scipy.stats" in sys.modules)
     """
 )
 
 
-def test_only_sampling_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     run = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         cwd=PACKAGE_DIR.parent,
     )
     assert run.returncode == 0, run.stderr
-    scipy_before_sample, stats_after_sample = run.stdout.splitlines()
-    assert scipy_before_sample == "[]"
-    assert stats_after_sample == "False"
+    assert run.stdout.splitlines() == ["[]"]
 
 
 def test_stateio_does_not_import_correlation():
