@@ -16,6 +16,7 @@ import numpy as np
 
 from .correlation import (
     FACTORABLE_TOL,
+    _PAULI,
     chi_square_goodness,
     named_observable,
     sample_measurements,
@@ -41,8 +42,6 @@ from .stateio import (
     parse_observable_file,
 )
 
-_PAULI_NAMES = ("i", "x", "y", "z")
-
 
 def _read(path: str) -> str:
     try:
@@ -52,7 +51,7 @@ def _read(path: str) -> str:
 
 
 def _load_observable(name_or_path: str, dim: int) -> Observable:
-    if name_or_path.strip().lower() in _PAULI_NAMES:
+    if name_or_path.strip().lower() in _PAULI:
         return named_observable(name_or_path, dim)
     obs = parse_observable_file(_read(name_or_path))
     if obs.dim != dim:
@@ -235,10 +234,7 @@ def cmd_verify(ns) -> int:
         report = verify_witness_criterion(
             dims, ns.trials, ns.seed, factorable_tol=ns.tol
         )
-    if ns.json:
-        print(report.to_json())
-    elif not ns.quiet:
-        print(report.summary())
+    _print_output(ns, report.to_dict(), [report.summary()])
     return 0 if report.passed else 1
 
 

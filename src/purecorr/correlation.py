@@ -398,12 +398,8 @@ def sample_measurements(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    analytic = covariance(rho, e, f)
     da, db = rho.dims
-    if e.dim != da or f.dim != db:
-        raise ValueError(
-            f"observable dimensions ({e.dim}, {f.dim}) do not match state dims "
-            f"({da}, {db})"
-        )
     proj_a = to_projective(e)
     proj_b = to_projective(f)
     r4 = rho.matrix.reshape(da, db, da, db)
@@ -434,7 +430,7 @@ def sample_measurements(
         counts=counts,
         probabilities=probs,
         empirical_covariance=emp_joint - emp_a * emp_b,
-        analytic_covariance=covariance(rho, e, f),
+        analytic_covariance=analytic,
         trials=int(trials),
     )
 

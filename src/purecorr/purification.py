@@ -16,12 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .correlation import (
-    FACTORABLE_TOL,
-    CorrelationOperator,
-    _correlations,
-    correlation_operator,
-)
+from .correlation import FACTORABLE_TOL, correlation_operator
 from .linalg import (
     DimPair,
     _first_failure,
@@ -360,28 +355,16 @@ def verify_purification_entanglement(
     exists; the factored construction with the identity unitary is that
     witness, and full Haar unitaries on C1 C2 (r = dim C1 C2) just record
     how entangled the rest are.
+
+    One correlation pass judges the state and, for a factorable one, gives
+    the marginals to purify.  The identity and the ``trials`` sampled
+    purifications form one stack: one stacked draw of the isometries, one
+    pass of checks and one cut SVD, in chunks of ``states._chunks``.  The
+    base is checked when it is built and again as row 0 of that stack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _purification_trials(
-        rho, correlation_operator(rho), trials, seed, factorable_tol
-    )
-
-
-def _purification_trials(
-    rho: BipartiteState,
-    corr: CorrelationOperator,
-    trials: int,
-    seed: int,
-    factorable_tol: float,
-) -> TheoremReport:
-    """:func:`verify_purification_entanglement` of a state and its correlation operator.
-
-    The operator judges the state and, for a factorable one, gives the
-    marginals to purify.  The identity and the ``trials`` sampled
-    purifications form one stack: one stacked draw of the isometries, one
-    pass of checks and one cut SVD, in chunks of ``states._chunks``.
-    """
+    corr = correlation_operator(rho)
     factorable = corr.frobenius_norm <= factorable_tol
     if factorable:
         marginals = (_trusted(DensityMatrix, matrix=m) for m in (corr.rho_a, corr.rho_b))
@@ -455,20 +438,20 @@ def entanglement_campaign(
     """Both directions of the purification claim on seeded random states.
 
     Draws one full-rank Ginibre state (non-factorable with probability one)
-    and one explicit product state on the given dimensions, runs
-    :func:`verify_purification_entanglement` on each, and merges the
-    outcomes into a single report.
+    and one explicit product state on the given dimensions, validated as
+    one stack, runs :func:`verify_purification_entanglement` on each (so
+    each state gets its own correlation pass), and merges the outcomes
+    into a single report.
     """
     dims = _campaign_dims(dims, trials)
     s_state, s_prod, s_u1, s_u2 = _sub_seeds(seed, 4)
     rhos = _campaign_states([s_state], [s_prod], dims)
-    corr = _correlations(rhos, dims)
     rep_main, rep_prod = (
-        _purification_trials(
-            BipartiteState(_trusted(DensityMatrix, matrix=rhos[i]), dims),
-            corr.at(i, dims), trials, s_u, factorable_tol,
+        verify_purification_entanglement(
+            BipartiteState(_trusted(DensityMatrix, matrix=rho), dims),
+            trials, s_u, factorable_tol=factorable_tol,
         )
-        for i, s_u in enumerate((s_u1, s_u2))
+        for rho, s_u in zip(rhos, (s_u1, s_u2))
     )
 
     stats = {f"random_{k}": v for k, v in rep_main.stats.items()}

@@ -270,20 +270,6 @@ def _require_state(content: StateFileContent) -> None:
         raise StateFileError("expected a density or pure state file, found an observable")
 
 
-def content_to_state(
-    content: StateFileContent,
-) -> BipartiteState | PureState | DensityMatrix:
-    """Typed state for a parsed file (density files need one or two factors)."""
-    _require_state(content)
-    if content.kind == "pure" or len(content.dims) == 1:
-        return content.value
-    if len(content.dims) == 2:
-        return BipartiteState(content.value, DimPair(*content.dims))
-    raise StateFileError(
-        f"density file has {len(content.dims)} factors; trace it down to two first"
-    )
-
-
 def content_to_bipartite(
     content: StateFileContent, trace_out: str | None = None
 ) -> BipartiteState:
@@ -328,7 +314,15 @@ def parse_state_file(text: str) -> BipartiteState | PureState | DensityMatrix:
     :class:`PureState`; in every case parse(emit(x)) reproduces x bit for
     bit.
     """
-    return content_to_state(parse_content(text))
+    content = parse_content(text)
+    _require_state(content)
+    if content.kind == "pure" or len(content.dims) == 1:
+        return content.value
+    if len(content.dims) == 2:
+        return BipartiteState(content.value, DimPair(*content.dims))
+    raise StateFileError(
+        f"density file has {len(content.dims)} factors; trace it down to two first"
+    )
 
 
 def parse_observable_file(text: str) -> Observable:

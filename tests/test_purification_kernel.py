@@ -9,6 +9,7 @@ bit what the per-state functions give, and bad input must be rejected with
 the messages the library has always given.
 """
 
+import json
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from purecorr.purification import (
     apply_ancilla_unitary,
     cut_entanglement,
     embed_ancilla,
+    entanglement_campaign,
     factored_purification,
     purify,
     verify_purification_entanglement,
@@ -120,6 +122,35 @@ def test_report_equals_per_trial_loop(rho, trials, seed):
     assert report.stats["identity_entropy_bits"] == entropies[0]
     assert report.stats["min_entropy_bits"] == min(entropies)
     assert report.stats["max_entropy_bits"] == max(entropies)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.builds(DimPair, st.integers(1, 3), st.integers(1, 3)),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_campaign_merges_two_per_state_checks(dims, trials, seed):
+    """The campaign is the per-state check of its Ginibre and product states."""
+    s0, s1, s2, s3 = _sub_seeds(seed, 4)
+    main, prod = (
+        verify_purification_entanglement(rho, trials, s)
+        for rho, s in [(random_density(dims, dims.total, s0), s2),
+                       (random_product_state(dims, s1), s3)]
+    )
+    merged = {
+        "tolerances": main.tolerances,
+        "stats": {
+            **{f"random_{k}": v for k, v in main.stats.items()},
+            **{f"product_{k}": v for k, v in prod.stats.items()},
+        },
+        "counterexamples": [f"random state: {c}" for c in main.counterexamples]
+        + [f"product state: {c}" for c in prod.counterexamples],
+        "passed": main.passed and prod.passed,
+    }
+    report = entanglement_campaign(dims, trials, seed).to_dict()
+    assert json.dumps({k: report[k] for k in merged}) == json.dumps(merged)
+    assert (report["seed"], report["trials"]) == (seed, trials)
 
 
 def _padded_source():

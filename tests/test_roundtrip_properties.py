@@ -16,9 +16,9 @@ from purecorr.linalg import DimPair
 from purecorr.states import Observable, PureState, random_density, random_pure
 from purecorr.stateio import (
     StateFileError,
-    content_to_state,
     emit_state_file,
     parse_content,
+    parse_state_file,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -41,7 +41,7 @@ def test_random_density_bit_exact(da, db, data, seed):
     assert content.kind == "density"
     assert content.dims == (da, db)
     assert content.value.matrix.tobytes() == rho.matrix.tobytes()
-    assert emit_state_file(content_to_state(content)) == text
+    assert emit_state_file(parse_state_file(text)) == text
 
 
 @SETTINGS

@@ -20,7 +20,6 @@ from purecorr.states import (
 from purecorr.stateio import (
     StateFileError,
     complex_array_to_pairs,
-    content_to_state,
     emit_state_file,
     parse_content,
     parse_observable_file,
@@ -104,7 +103,7 @@ class TestParse:
         content = parse_content(text)
         assert content.dims == (2, 2, 2)
         with pytest.raises(StateFileError, match="trace it down"):
-            content_to_state(content)
+            parse_state_file(text)
 
 
 class TestParseErrors:

@@ -118,6 +118,18 @@ def test_stateio_does_not_import_correlation():
     assert "purecorr.correlation" not in imported
 
 
+def test_purification_imports_no_private_correlation_name():
+    """Theorem 1 reaches the correlation kernel through its public API only."""
+    private = [
+        alias.name
+        for node in ast.walk(_parse("purification"))
+        if isinstance(node, ast.ImportFrom) and node.module == "correlation"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 @pytest.mark.parametrize(
     "name",
     ["SeedSequence", "_STACK_BYTES", "_ginibre_densities", "_product_densities",
