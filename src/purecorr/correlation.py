@@ -8,7 +8,9 @@ O(1) traces cancel.  The best unit-norm observable pair is
 read off the operator Schmidt decomposition of Delta: expand Delta in
 Hermitian product bases, SVD the (real) coefficient matrix, and recombine
 the top singular pair.  The achieved covariance is then the top singular
-value, which is nonzero exactly when the state is non-factorable.
+value, which is nonzero exactly when the state is non-factorable.  States
+and observables are exactly Hermitian once validated (``require_hermitian``),
+so nominally real traces and coefficients are taken as their real parts.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "FACTORABLE_TOL",
     "WITNESS_TOL",
     "OUTCOME_GROUP_TOL",
-    "IMAG_TOL",
     "CorrelationOperator",
     "OperatorSchmidt",
     "CorrelationWitness",
@@ -70,8 +71,6 @@ FACTORABLE_TOL = 1e-9
 WITNESS_TOL = 1e-7
 #: Observable eigenvalues closer than this share one measurement outcome.
 OUTCOME_GROUP_TOL = 1e-8
-#: Largest imaginary residue tolerated on nominally real traces.
-IMAG_TOL = 1e-10
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -131,29 +130,16 @@ class CorrelationWitness:
     correlation: CorrelationOperator
 
 
-def _real_trace(value, what: str) -> np.ndarray:
-    """Real part of a nominally real trace, or of a stack of them.
-
-    Raises when an imaginary residue exceeds IMAG_TOL.
-    """
-    value = np.asarray(value)
-    worst = value.imag.flat[np.argmax(np.abs(value.imag))]
-    if abs(worst) > IMAG_TOL:
-        raise ValueError(
-            f"{what} has imaginary residue {worst:.3e} beyond {IMAG_TOL:.1e}"
-        )
-    return value.real
-
-
 def _pairing(delta: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Tr(Delta (E (x) F)) = sum Delta[ab,cd] E[c,a] F[d,b]: covariance from Delta.
 
     One O(n^2) contraction per state, on single matrices or on stacks
     ``(..., n, n)``, ``(..., da, da)``, ``(..., db, db)``: an entrywise
-    product with (E (x) F)^T and a sum, never a matrix product.
+    product with (E (x) F)^T and a sum, never a matrix product, whose real
+    part is returned, as Delta, E and F are exactly Hermitian.
     """
     transposed = tensor_product(e.swapaxes(-1, -2), f.swapaxes(-1, -2))
-    return _real_trace(np.sum(delta * transposed, axis=(-2, -1)), "covariance")
+    return np.sum(delta * transposed, axis=(-2, -1)).real
 
 
 class _Correlations(NamedTuple):
@@ -192,17 +178,11 @@ def _schmidt_svd(delta: np.ndarray, dims: DimPair):
     """Raw stacked SVD ``(s, u, v)`` of the coefficient matrices of Deltas.
 
     ``delta`` is a ``(T, n, n)`` stack of Hermitian operators; their
-    coefficient matrices are real, and one ``np.linalg.svd`` call takes
-    them all.  ``v`` holds the right singular vectors as columns.
+    coefficient matrices are real up to rounding, and one ``np.linalg.svd``
+    call takes their real parts.  ``v`` holds the right vectors as columns.
     """
-    c = operator_to_coefficient_matrix(delta, dims)
-    imag = float(np.max(np.abs(c.imag)))
-    if imag > IMAG_TOL:
-        raise ValueError(
-            f"coefficient matrix has imaginary part {imag:.3e}; "
-            "input must be Hermitian"
-        )
-    u, s, vh = np.linalg.svd(c.real, full_matrices=False)
+    c = operator_to_coefficient_matrix(delta, dims).real
+    u, s, vh = np.linalg.svd(c, full_matrices=False)
     return s, u, vh.swapaxes(-1, -2)
 
 
@@ -341,11 +321,8 @@ def brute_force_max_covariance(rho: BipartiteState, trials: int, seed) -> float:
     rho_b = rho.marginal("B").matrix
     mean_a = np.einsum("ij,tji->t", rho_a, e)
     mean_b = np.einsum("ij,tji->t", rho_b, f)
-    cov = joint - mean_a * mean_b
-    worst_imag = float(np.max(np.abs(cov.imag)))
-    if worst_imag > IMAG_TOL:
-        raise ValueError(f"covariance imaginary residue {worst_imag:.3e}")
-    return float(np.max(np.abs(cov.real)))
+    cov = (joint - mean_a * mean_b).real
+    return float(np.max(np.abs(cov)))
 
 
 def to_projective(obs: Observable) -> list[tuple[float, np.ndarray]]:
@@ -406,8 +383,7 @@ def sample_measurements(
     probs = np.empty((len(proj_a), len(proj_b)))
     for i, (_, p) in enumerate(proj_a):
         for j, (_, q) in enumerate(proj_b):
-            val = complex(np.einsum("abcd,ca,db->", r4, p, q, optimize=True))
-            probs[i, j] = _real_trace(val, "joint probability")
+            probs[i, j] = np.einsum("abcd,ca,db->", r4, p, q, optimize=True).real
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint probabilities sum to {total:.12g}, not 1")

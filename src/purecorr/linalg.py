@@ -120,26 +120,31 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Return the matrix unchanged or raise if it is not Hermitian.
+    """Return the matrix made exactly Hermitian, or raise if it is not Hermitian.
 
-    The check is scale invariant: the defect is compared against
-    ``HERMITIAN_TOL * max(1, ||m||_F)``.  Entries above 1 are first divided
-    by the largest magnitude, so that neither norm overflows near the top
-    of the float range.  Non-finite entries are rejected, with ``name``
-    naming the values in that message.  With ``stacked``, ``m`` is a
-    ``(T, n, n)`` stack, each matrix is judged alone, and a message names
-    the index of the first one that fails.
+    The library's one Hermiticity decision.  Exact input comes back bit for
+    bit; input within tolerance as its Hermitian part, each entry unequal
+    to its mirrored adjoint replaced by their mean.  The check is scale
+    invariant: the defect is compared against ``HERMITIAN_TOL * max(1,
+    ||m||_F)``.  Entries above 1 are first divided by the largest magnitude,
+    so that neither norm overflows near the top of the float range.
+    Non-finite entries are rejected, with ``name`` naming the values in that
+    message.  With ``stacked``, ``m`` is a ``(T, n, n)`` stack, each matrix
+    is judged alone, and a message names the index of the first one that
+    fails.
     """
     a = _as_square(m, stacked)
     peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
     finite = np.isfinite(peak)
     if not finite.all():
         raise ValueError(f"{_first_failure(~finite)[1]}{name} entries must be finite")
+    adj = a.conj().swapaxes(-1, -2)
+    exact = a == adj
+    if exact.all():
+        return a
     scale = np.maximum(peak, 1.0)
     unit = a / scale[..., None, None]
     defect = _frobenius(unit - unit.conj().swapaxes(-1, -2))
-    if (defect <= HERMITIAN_TOL).all():
-        return a  # within the limit whatever the norm, since max(1, norm) >= 1
     # A scaled matrix has an entry of modulus 1, so max(1, norm) here is
     # max(1, ||m||_F) in the units of m.
     failed = _first_failure(defect > HERMITIAN_TOL * np.maximum(_frobenius(unit), 1.0))
@@ -150,7 +155,8 @@ def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndar
             f"{where}matrix is not Hermitian: defect {worst:.3e} exceeds "
             f"{HERMITIAN_TOL:.1e} * max(1, norm)"
         )
-    return a
+    # halved first, so that no sum overflows near the top of the float range
+    return np.where(exact, a, a / 2 + adj / 2)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -284,6 +290,7 @@ def _canonical_vectors(
 def hermitian_eig(m) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
+    The input is made exactly Hermitian by :func:`require_hermitian`.
     Eigenvalues are real and sorted descending.  Each eigenvector's phase is
     fixed (first nonzero component real positive) and the eigenvectors of a
     degenerate cluster depend only on its eigenspace, so the output does not

@@ -106,8 +106,9 @@ class Purification:
 
 def _require_recovery(rho: np.ndarray, original: BipartiteState, stacked: bool) -> None:
     """Raise unless each trace-normalized reduced state of a ``(T, n, n)`` stack
-    is ``original`` to ``RECOVERY_TOL``; a stack's message names its index."""
-    defect = _frobenius(rho - original.matrix)
+    is ``original``, trace-normalized too, to ``RECOVERY_TOL``; a stack's
+    message names its index."""
+    defect = _frobenius(rho - original.matrix / original.matrix.trace().real)
     bad = defect > RECOVERY_TOL
     failed = _first_failure(bad if stacked else bad[0])
     if failed:

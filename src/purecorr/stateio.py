@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimPair, multi_partial_trace
+from .linalg import DimPair, multi_partial_trace, require_hermitian
 from .states import BipartiteState, DensityMatrix, Observable, PureState, _trusted
 
 __all__ = [
@@ -291,7 +291,8 @@ def content_to_bipartite(
     if not keep:
         raise StateFileError("cannot trace out every factor")
     if content.kind == "pure":
-        matrix = content.value.reduced(keep)
+        # M M^dagger can miss exact Hermiticity by a rounding, which parse would undo
+        matrix = require_hermitian(content.value.reduced(keep))
     else:
         matrix = multi_partial_trace(content.value.matrix, dims, keep)
     dm = _trusted(DensityMatrix, matrix=matrix)

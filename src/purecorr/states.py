@@ -77,8 +77,8 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _validate_densities(m: np.ndarray, stacked: bool = False) -> None:
-    """Raise ValueError unless ``m`` is a density matrix.
+def _validate_densities(m: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """``m`` made exactly Hermitian, or ValueError unless it is a density matrix.
 
     With ``stacked``, ``m`` is a ``(T, n, n)`` stack and every matrix must
     be one.  Each check (square, finite and Hermitian, unit trace,
@@ -89,7 +89,7 @@ def _validate_densities(m: np.ndarray, stacked: bool = False) -> None:
     """
     if m.ndim != 2 + stacked or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    require_hermitian(m, "density matrix", stacked)
+    m = require_hermitian(m, "density matrix", stacked)
     trace = m.diagonal(0, -2, -1).sum(-1)
     failed = _first_failure(np.abs(trace - 1.0) > TRACE_TOL)
     if failed:
@@ -104,6 +104,7 @@ def _validate_densities(m: np.ndarray, stacked: bool = False) -> None:
             f"{where}density matrix is not positive semidefinite: "
             f"smallest eigenvalue {float(smallest.reshape(-1)[k]):.3e}"
         )
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +114,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        _validate_densities(m)
+        m = _validate_densities(np.array(self.matrix, dtype=np.complex128))
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -369,8 +369,7 @@ def _campaign_states(
     seed, then ``random_product_state(dims, s)`` of each product seed, bit for bit."""
     rhos = np.concatenate([_ginibre_densities(ginibre_seeds, dims, dims.total),
                            _product_densities(product_seeds, dims)])
-    _validate_densities(rhos, stacked=True)
-    return rhos
+    return _validate_densities(rhos, stacked=True)
 
 
 def _isometries(seeds: Sequence, d: int, r: int) -> np.ndarray:

@@ -13,7 +13,13 @@ from purecorr import cli, purification
 from purecorr.cli import main
 from purecorr.correlation import Observable, to_projective
 from purecorr.linalg import DimPair, multi_partial_trace
-from purecorr.states import DensityMatrix, example_source_state, ghz, random_density
+from purecorr.states import (
+    DensityMatrix,
+    PureState,
+    example_source_state,
+    ghz,
+    random_density,
+)
 from purecorr.stateio import emit_state_file, parse_state_file
 
 
@@ -451,6 +457,47 @@ class TestSample:
         ])
         assert rc == 2
         assert "dimension 2" in capsys.readouterr().err
+
+
+@pytest.fixture
+def input_files(tmp_path, eq2_file, ghz_file):
+    """Paths of the files the input-error table names, by name."""
+    five = np.zeros(32)
+    five[0] = 1.0
+    text = emit_state_file(PureState(five, tuple((f"Q{i}", 2) for i in range(5))))
+    paths = {"eq2": eq2_file, "ghz": ghz_file, "five": tmp_path / "five.state",
+             "obs3": tmp_path / "three.obs"}
+    # without its labels line, the file takes the default labels S1 .. S5
+    paths["five"].write_text(text.replace("labels: [Q0, Q1, Q2, Q3, Q4]\n", ""))
+    paths["obs3"].write_text(emit_state_file(Observable(np.eye(3))))
+    return {name: str(path) for name, path in paths.items()}
+
+
+# Input errors with the exact line each prints before exit 2; "{name}" is
+# the path of that file of ``input_files``.
+INPUT_ERRORS = [
+    ("observable-dimension",
+     ["sample", "{eq2}", "--obs-a", "{obs3}", "--obs-b", "z", "--trials", "5", "--seed", "1"],
+     "observable {obs3} has dimension 3, state factor has 2"),
+    ("dims-not-integer",
+     ["verify", "--theorem", "2", "--dims", "2xa", "--trials", "5", "--seed", "1"],
+     "--dims expects integers: invalid literal for int() with base 10: 'a'"),
+    ("trace-out-every-default-label",
+     ["analyze", "{five}", "--trace-out", "S1,S2,S3,S4,S5"],
+     "cannot trace out every factor"),
+    ("three-factors-no-trace-out", ["analyze", "{ghz}"],
+     "state has 3 factors ['A', 'B', 'C']; use --trace-out to reduce to two"),
+    ("density-as-observable",
+     ["sample", "{eq2}", "--obs-a", "{eq2}", "--obs-b", "z", "--trials", "5", "--seed", "1"],
+     "expected an observable file, found kind 'density'"),
+]
+
+
+@pytest.mark.parametrize("argv, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in INPUT_ERRORS])
+def test_input_error_exits_2_with_its_message(argv, message, input_files, capsys):
+    assert main([arg.format(**input_files) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**input_files)}\n"
 
 
 class TestMemoryError:

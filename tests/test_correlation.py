@@ -40,6 +40,22 @@ from purecorr.stateio import emit_state_file, parse_state_file
 
 SZ = named_observable("z")
 SX = named_observable("x")
+# 1e6 X with 1e-4 added at [0, 1]: a Hermitian defect far inside the
+# tolerance relative to its norm of 1.4e6, yet its covariances used to
+# carry an imaginary residue of 7.5e-7, beyond an absolute 1e-10.
+NEAR_HERMITIAN_X = 1e6 * SX.matrix + np.array([[0, 1e-4], [0, 0]])
+
+
+def near_hermitian_state():
+    """``random_density((2, 2), 4, 1)`` with a real antisymmetric 1e-10 defect.
+
+    The constructor accepts it; the witness used to raise "coefficient
+    matrix has imaginary part 1.411e-10".
+    """
+    rho = random_density(DimPair(2, 2), 4, 1)
+    defect = np.zeros((4, 4))
+    defect[0, 1], defect[1, 0] = 1e-10, -1e-10
+    return rho, BipartiteState(DensityMatrix(rho.matrix + defect), rho.dims)
 
 
 @st.composite
@@ -138,6 +154,12 @@ class TestCovariance:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="do not match"):
             covariance(example_source_state(), named_observable("i", 3), SZ)
+
+    def test_observable_accepted_within_tolerance(self):
+        rho = random_density(DimPair(2, 2), 4, 1)
+        near = covariance(rho, Observable(NEAR_HERMITIAN_X), SZ)
+        assert near == pytest.approx(covariance(rho, Observable(1e6 * SX.matrix), SZ),
+                                     rel=1e-9)
 
 
 class TestCorrelationOperator:
@@ -283,6 +305,12 @@ class TestSynthesizeWitness:
             assert abs(w.covariance - w.sigma1) <= 1e-6 * w.sigma1
             assert abs(covariance(rho, w.e, w.f) - w.sigma1) <= 1e-12 * w.sigma1
 
+    def test_state_accepted_within_tolerance(self):
+        rho, near = near_hermitian_state()
+        w = synthesize_witness(near)
+        assert w.sigma1 == pytest.approx(synthesize_witness(rho).sigma1, abs=1e-9)
+        assert w.covariance == pytest.approx(w.sigma1, abs=1e-12)
+
     def test_carries_correlation_operator(self):
         rho = random_density(DimPair(2, 3), 6, 4)
         w = synthesize_witness(rho)
@@ -396,6 +424,12 @@ class TestSampling:
             sample_measurements(
                 example_source_state(), named_observable("i", 3), SZ, 10, 0
             )
+
+    def test_observable_accepted_within_tolerance(self):
+        rho = random_density(DimPair(2, 2), 4, 1)
+        near = sample_measurements(rho, Observable(NEAR_HERMITIAN_X), SZ, 1000, 4)
+        exact = sample_measurements(rho, Observable(1e6 * SX.matrix), SZ, 1000, 4)
+        np.testing.assert_allclose(near.probabilities, exact.probabilities, atol=1e-12)
 
     def test_empirical_tracks_analytic(self):
         # |empirical - analytic| <= 5 * range^2 / sqrt(trials) in at least

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purecorr.linalg import (
     DimPair,
@@ -439,7 +441,50 @@ class TestTopSingularVectors:
         assert np.array_equal(u, before[0]) and np.array_equal(vh, before[1])
 
 
+@st.composite
+def exact_hermitian(draw):
+    """An exactly Hermitian n x n matrix, n <= 4, whose zeros carry either sign.
+
+    The lower triangle is the conjugate of the upper one, so a zero
+    imaginary part there has the opposite sign; the diagonal's imaginary
+    parts are 0.0 or -0.0.
+    """
+    n = draw(st.integers(1, 4))
+    parts = st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                     min_size=n * n, max_size=n * n)
+    m = np.empty((n, n), dtype=np.complex128)
+    m.real = np.reshape(draw(parts), (n, n))
+    m.imag = np.reshape(draw(parts), (n, n))
+    m.imag[np.diag_indices(n)] = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                               min_size=n, max_size=n))
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), m, m.conj().T)
+
+
 class TestRequireHermitian:
+    @settings(max_examples=100, deadline=None)
+    @given(exact_hermitian())
+    def test_stores_exact_input_byte_for_byte(self, h):
+        assert Observable(h).matrix.tobytes() == h.tobytes()
+        stack = np.stack([h, h])
+        assert require_hermitian(stack, stacked=True).tobytes() == stack.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_hermitian(), st.data())
+    def test_stores_accepted_input_exactly_hermitian(self, h, data):
+        # multiples of 2**-40 keep every sum normal, so each mean is exact
+        # up to one rounding and lies between the entry and its mirror
+        n = len(h)
+        steps = st.lists(st.integers(-8, 8), min_size=2 * n * n, max_size=2 * n * n)
+        k = np.reshape(data.draw(steps), (2, n, n)) * 2.0**-40
+        a = h + (k[0] + 1j * k[1])
+        stored = Observable(a).matrix
+        assert np.array_equal(stored, stored.conj().T)
+        assert np.array_equal(require_hermitian(np.stack([a, a]), stacked=True),
+                              np.stack([stored, stored]))
+        moved, defect = stored - a, a.conj().T - a
+        assert np.all(np.abs(moved.real) <= np.abs(defect.real))
+        assert np.all(np.abs(moved.imag) <= np.abs(defect.imag))
+
     def test_scale_relative(self):
         m = np.eye(3) * 1e6
         m[0, 1] = 1e-4  # defect tiny relative to the norm

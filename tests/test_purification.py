@@ -46,6 +46,25 @@ def test_campaign_entropies_are_never_negative_or_negative_zero(dims, seed):
     assert zero and all(stats[k] == 0.0 for k in zero)
 
 
+def accepted_within_tolerance(defect, scale):
+    """``random_density((2, 2), 4, 1)`` times ``scale``, with ``defect`` added
+    at [0, 1] and subtracted at [1, 0]: moved by what the constructor accepts.
+
+    A defect of 1e-10 used to make the recovery check miss by 2.0e-10; a
+    scale of 1 + 2e-10, and so a trace of 1 + 2e-10, by 1.3e-10.
+    """
+    rho = random_density(DimPair(2, 2), 4, 1).matrix * scale
+    rho[0, 1] += defect
+    rho[1, 0] -= defect
+    return BipartiteState(DensityMatrix(rho), DimPair(2, 2))
+
+
+WITHIN_TOLERANCE = pytest.mark.parametrize("defect, scale", [
+    pytest.param(1e-10, 1.0, id="hermitian-defect"),
+    *(pytest.param(0.0, 1 + x, id=f"trace{x:+g}") for x in (2e-10, -2e-10, 9e-10, -9e-10)),
+])
+
+
 def trace_out_ancillas(p):
     keep = [i for i, lab in enumerate(p.state.labels) if not lab.startswith("C")]
     return multi_partial_trace(p.state.density(), p.state.factor_dims, keep)
@@ -107,6 +126,12 @@ class TestPurify:
         assert p.ancilla_dim == 4
         assert np.linalg.norm(trace_out_ancillas(p) - rho.matrix) <= 1e-10
 
+    @WITHIN_TOLERANCE
+    def test_purifies_states_accepted_within_tolerance(self, defect, scale):
+        rho = accepted_within_tolerance(defect, scale)
+        recovered = trace_out_ancillas(purify(rho))
+        assert np.linalg.norm(recovered - rho.matrix / np.trace(rho.matrix).real) <= 1e-10
+
     @pytest.mark.xfail(strict=True, raises=ValueError,
                        reason="PSD_TOL admits eigenvalues that RECOVERY_TOL cannot meet")
     def test_purifies_every_accepted_state(self):
@@ -166,6 +191,11 @@ class TestEmbedAncilla:
         p = embed_ancilla(purify(rho), (4, 4))
         assert p.state.labels == ("A", "B", "C1", "C2")
         assert np.linalg.norm(trace_out_ancillas(p) - rho.matrix) <= 1e-10
+
+    def test_rejects_empty_ancilla_factor(self):
+        p = purify(random_density(DimPair(2, 2), 4, 8))
+        with pytest.raises(ValueError, match=r"^ancilla dimensions must be >= 1, got \(0, 4\)$"):
+            embed_ancilla(p, (0, 4))
 
     def test_rejects_too_small_ancilla(self):
         rho = random_density(DimPair(2, 2), 4, 8)
@@ -353,6 +383,11 @@ class TestVerifyPurificationEntanglement:
         assert payload["seed"] == 1
         assert "rank_tol" in payload["tolerances"]
 
+    @WITHIN_TOLERANCE
+    def test_states_accepted_within_tolerance(self, defect, scale):
+        rho = accepted_within_tolerance(defect, scale)
+        assert verify_purification_entanglement(rho, 3, 1).passed
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             verify_purification_entanglement(example_source_state(), 0, 1)
@@ -413,6 +448,15 @@ class TestPurificationInvariant:
         wrong = random_density(DimPair(2, 2), 4, 0)
         with pytest.raises(ValueError, match="misses the original"):
             Purification(p.state, wrong)
+
+    @pytest.mark.parametrize("labels", [("AB", "D"), ("C1", "C2")])
+    def test_constructor_needs_system_and_ancilla_factors(self, labels):
+        from purecorr.purification import Purification
+
+        p = purify(example_source_state())
+        psi = PureState(p.state.amplitudes, tuple(zip(labels, p.state.factor_dims)))
+        with pytest.raises(ValueError, match="^purification needs system and ancilla factors$"):
+            Purification(psi, example_source_state())
 
     def test_ancilla_first_layout(self):
         from purecorr.purification import Purification

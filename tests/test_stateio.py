@@ -20,6 +20,7 @@ from purecorr.states import (
 from purecorr.stateio import (
     StateFileError,
     complex_array_to_pairs,
+    content_to_bipartite,
     emit_state_file,
     parse_content,
     parse_observable_file,
@@ -544,6 +545,16 @@ class TestRoundTrip:
         back = parse_state_file(emit_state_file(psi))
         assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
         assert back.layout == psi.layout
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_traced_pure_state_bit_exact(self, seed):
+        # M M^dagger of a 2 x 6 amplitude matrix can miss exact Hermiticity
+        # by a rounding, which parsing the emitted state would then remove
+        psi = PureState(random_pure(12, seed).amplitudes, (("A", 2), ("C", 6)))
+        rho = content_to_bipartite(parse_content(emit_state_file(psi)), "C")
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        back = parse_state_file(emit_state_file(rho))
+        assert back.matrix.tobytes() == rho.matrix.tobytes()
 
     def test_observable_bit_exact(self):
         rng = np.random.default_rng(0)

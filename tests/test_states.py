@@ -1,5 +1,7 @@
 """Tests for state types, canonical states and seeded generators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,16 @@ class TestPureState:
     def test_rejects_layout_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             PureState(np.array([1.0, 0.0]), (("A", 2), ("B", 2)))
+
+    @pytest.mark.parametrize("amplitudes, layout, message", [
+        ([np.nan, 1.0], (("A", 2),), "amplitudes must be finite"),
+        ([1.0], (), "layout must contain at least one factor"),
+        ([1.0], (("A", 1), ("B", 0)),
+         "factor dimensions must be >= 1, got (('A', 1), ('B', 0))"),
+    ])
+    def test_rejects_malformed_input(self, amplitudes, layout, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PureState(np.array(amplitudes), layout)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):

@@ -217,7 +217,7 @@ def validations(monkeypatch):
 
     def counting(m, stacked=False):
         calls.extend(m if stacked else [m])
-        original(m, stacked)
+        return original(m, stacked)
 
     monkeypatch.setattr(states, "_validate_densities", counting)
     return calls
