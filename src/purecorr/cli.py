@@ -32,7 +32,7 @@ from .purification import (
     entanglement_campaign,
     purify,
 )
-from .states import GENERATOR_NAME, Observable, random_unitary
+from .states import GENERATOR_NAME, Observable, random_isometry
 from .stateio import (
     StateFileError,
     complex_array_to_pairs,
@@ -135,6 +135,7 @@ def cmd_purify(ns) -> int:
     if content.kind != "density":
         raise StateFileError("purify expects a density state file")
     p = purify(content_to_bipartite(content))
+    support = p.ancilla_dim
     if ns.ancilla_dims:
         try:
             c1, c2 = (int(x) for x in ns.ancilla_dims.split(","))
@@ -144,7 +145,11 @@ def cmd_purify(ns) -> int:
             ) from exc
         p = embed_ancilla(p, (c1, c2))
     if ns.unitary_seed is not None:
-        p = apply_ancilla_unitary(p, random_unitary(p.ancilla_dim, ns.unitary_seed))
+        # the purification fills only the first `support` ancilla basis
+        # states, so a Haar unitary acts on it through those columns alone
+        p = apply_ancilla_unitary(
+            p, random_isometry(p.ancilla_dim, support, ns.unitary_seed)
+        )
     if "C1" in p.state.labels:
         left = ("A", "C1")
     else:
@@ -307,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ancilla-dims", default=None, metavar="C1,C2",
                    help="split the ancilla into two factors of these dimensions")
     p.add_argument("--unitary-seed", type=_seed, default=None, metavar="S",
-                   help="apply a seeded Haar unitary on the ancilla")
+                   help="apply a seeded Haar isometry from the rank-r support "
+                        "into the ancilla (the action of a Haar unitary)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the purified state file here instead of stdout")
     p.set_defaults(func=cmd_purify)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,23 @@ class TestPurify:
     def test_rejects_bad_ancilla_dims(self, eq2_file, capsys):
         assert main(["purify", eq2_file, "--ancilla-dims", "x,y"]) == 2
         assert main(["purify", eq2_file, "--ancilla-dims", "1,1"]) == 2
+
+    def test_seeded_split_memory_is_linear_in_the_vector(self, tmp_path, capsys):
+        # the seeded draw maps the rank-3 support into the 32 x 32 ancillas:
+        # a 1024 x 3 isometry, where a full unitary took 1042x the vector
+        source = Path(__file__).parent / "golden" / "purify_input_2x2_rank3_seed6.state"
+        argv = ["purify", str(source), "--ancilla-dims", "32,32",
+                "--unitary-seed", "5", "--out", str(tmp_path / "purified.state")]
+        # a first run also imports modules lazily: trace a second one
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector_bytes = 4 * 32 * 32 * np.dtype(np.complex128).itemsize
+        assert peak < 32 * vector_bytes
 
     def test_fresh_processes_write_and_read_identical_bytes(self, tmp_path):
         # The same argv in the same environment gives the same stdout and
