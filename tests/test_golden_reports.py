@@ -6,11 +6,15 @@ any change to the generators, to how a campaign batches them, or to the
 analysis shows up here as a byte difference.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from purecorr.cli import main
+from purecorr.purification import _ancilla_trials, embed_ancilla, purify
+from purecorr.states import _isometries
+from purecorr.stateio import content_to_bipartite, parse_content, parse_state_file
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,3 +59,15 @@ def test_purify_report_is_byte_identical(name, capsys):
     source, flags = PURIFY_RUNS[name]
     assert main(["purify", str(GOLDEN / source), *flags.split(), "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_seeded_purify_is_the_campaign_kernels_batch_of_one():
+    # the rank-3 purification split into 4 x 4 ancillas, rotated by the
+    # 16 x 3 Haar isometry that the Theorem-1 campaign draws for seed 5
+    source, _ = PURIFY_RUNS["purify_2x2_rank3_ancilla4x4_useed5.json"]
+    rho = content_to_bipartite(parse_content((GOLDEN / source).read_text()))
+    base = embed_ancilla(purify(rho), (4, 4))
+    expected = _ancilla_trials(base, _isometries([5], 16, 3))[0]
+    payload = json.loads((GOLDEN / "purify_2x2_rank3_ancilla4x4_useed5.json").read_text())
+    psi = parse_state_file(payload["state_file"])
+    assert psi.amplitudes.tobytes() == expected.tobytes()
