@@ -1,5 +1,6 @@
 """Tests for covariance, factorability, witness synthesis and sampling."""
 
+import dataclasses
 import math
 import warnings
 
@@ -346,6 +347,10 @@ class TestBruteForce:
             rho, 100, 3
         )
 
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            brute_force_max_covariance(example_source_state(), 0, 3)
+
 
 class TestToProjective:
     def test_pauli_z(self):
@@ -412,6 +417,8 @@ class TestSampling:
     def test_counts_sum_to_trials(self):
         result = sample_measurements(example_source_state(), SX, SX, 777, 3)
         assert int(result.counts.sum()) == 777
+        with pytest.raises(ValueError, match="counts must sum to the number of trials"):
+            dataclasses.replace(result, trials=776)
 
     def test_deterministic(self):
         r1 = sample_measurements(example_source_state(), SZ, SX, 1000, 4)
@@ -424,6 +431,8 @@ class TestSampling:
             sample_measurements(
                 example_source_state(), named_observable("i", 3), SZ, 10, 0
             )
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_measurements(example_source_state(), SZ, SZ, 0, 0)
 
     def test_observable_accepted_within_tolerance(self):
         rho = random_density(DimPair(2, 2), 4, 1)
@@ -540,10 +549,14 @@ class TestChiSquare:
     def test_goodness_rejects_empty_counts(self):
         with pytest.raises(ValueError, match="counts must not all be zero"):
             chi_square_goodness(np.zeros(4), [0.25] * 4)
+        with pytest.raises(ValueError, match="matching shapes"):
+            chi_square_goodness(np.ones(4), [0.5] * 2)
 
     def test_homogeneity_rejects_one_empty_table(self):
         with pytest.raises(ValueError, match="nonzero total"):
             chi_square_homogeneity([3, 5, 2], [0, 0, 0])
+        with pytest.raises(ValueError, match="matching shapes"):
+            chi_square_homogeneity([3, 5, 2], [3, 5])
 
     def test_homogeneity_rejects_two_empty_tables(self):
         with pytest.raises(ValueError, match="nonzero total"):

@@ -517,6 +517,10 @@ class TestLabels:
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             emit_state_file(psi)
 
+    def test_emit_rejects_unsupported_type(self):
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            emit_state_file(np.eye(2) / 2)
+
 
 class TestRoundTrip:
     def test_canonical_states_bit_exact(self):

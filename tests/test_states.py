@@ -60,6 +60,8 @@ class TestBipartiteState:
     def test_dims_must_match(self):
         with pytest.raises(ValueError, match="do not match"):
             BipartiteState(DensityMatrix(np.eye(4) / 4), DimPair(2, 3))
+        with pytest.raises(ValueError, match="subsystem dimensions must be >= 1"):
+            BipartiteState(DensityMatrix(np.eye(4) / 4), DimPair(0, 4))
 
     def test_marginals(self):
         rho = example_source_state()
