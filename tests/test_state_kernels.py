@@ -31,7 +31,7 @@ dim_pairs = st.builds(DimPair, st.integers(1, 4), st.integers(1, 4))
 seed_lists = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(dims=dim_pairs, seeds=seed_lists, data=st.data())
 def test_stacked_ginibre_equals_random_density(dims, seeds, data):
     rank = data.draw(st.integers(1, dims.total), label="rank")
@@ -41,7 +41,7 @@ def test_stacked_ginibre_equals_random_density(dims, seeds, data):
         assert rho.tobytes() == random_density(dims, rank, seed).matrix.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(dims=dim_pairs, seeds=seed_lists)
 def test_stacked_products_equal_random_product_state(dims, seeds):
     stack = _product_densities(seeds, dims)
@@ -130,7 +130,7 @@ def test_stacked_validator_rejects_other_shapes(shape):
         _validate_densities(np.zeros(shape, dtype=np.complex128), stacked=True)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(sorted(set(FAILURES) - {"non-square"})),
     size=st.integers(1, 6),
