@@ -175,9 +175,9 @@ class TestPurify:
         assert main(["purify", eq2_file, "--ancilla-dims", "x,y"]) == 2
         assert main(["purify", eq2_file, "--ancilla-dims", "1,1"]) == 2
 
-    def test_seeded_split_memory_is_linear_in_the_vector(self, tmp_path, capsys):
+    def test_seeded_split_memory_is_linear_in_the_vector(self, tmp_path):
         # the seeded draw maps the rank-3 support into the 32 x 32 ancillas:
-        # a 1024 x 3 isometry, where a full unitary took 1042x the vector
+        # a 1024 x 3 isometry, not a 1024 x 1024 unitary
         source = Path(__file__).parent / "golden" / "purify_input_2x2_rank3_seed6.state"
         argv = ["purify", str(source), "--ancilla-dims", "32,32",
                 "--unitary-seed", "5", "--out", str(tmp_path / "purified.state")]

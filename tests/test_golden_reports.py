@@ -30,8 +30,9 @@ RUNS = {
 
 # Input state file (also under tests/golden/) and flags of each pinned
 # ``purify`` run.  The rank-3 2x2 state is random_density((2, 2), 3, 6); a
-# seeded unitary on its C1 (x) C2 ancillas is the CLI's batch of one.  With
-# no split, or c1 * c2 equal to the rank, the seeded draw is square.
+# seeded isometry from its rank-3 support into the C1 (x) C2 ancillas is the
+# CLI's batch of one.  With no split, or c1 * c2 equal to the rank, the
+# seeded draw is square.
 PURIFY_RUNS = {
     "purify_2x2_rank3_ancilla4x4_useed5.json": (
         "purify_input_2x2_rank3_seed6.state",
