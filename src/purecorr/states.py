@@ -204,7 +204,8 @@ class PureState:
             raise ValueError(
                 f"layout {layout} does not match vector length {v.size}"
             )
-        norm = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):  # a norm beyond the double range is inf
+            norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm must be 1, got {norm:.12g}")
         object.__setattr__(self, "amplitudes", _freeze(v))

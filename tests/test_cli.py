@@ -484,10 +484,12 @@ def input_files(tmp_path, eq2_file, ghz_file):
     five[0] = 1.0
     text = emit_state_file(PureState(five, tuple((f"Q{i}", 2) for i in range(5))))
     paths = {"eq2": eq2_file, "ghz": ghz_file, "five": tmp_path / "five.state",
-             "obs3": tmp_path / "three.obs"}
+             "obs3": tmp_path / "three.obs", "huge": tmp_path / "huge.state"}
     # without its labels line, the file takes the default labels S1 .. S5
     paths["five"].write_text(text.replace("labels: [Q0, Q1, Q2, Q3, Q4]\n", ""))
     paths["obs3"].write_text(emit_state_file(Observable(np.eye(3))))
+    # a finite amplitude whose squared norm overflows the double range
+    paths["huge"].write_text("version: 1\nkind: pure\ndims: [2]\nvector: [[1e308, 0.0], [0.0, 0.0]]\n")
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -508,6 +510,7 @@ INPUT_ERRORS = [
     ("density-as-observable",
      ["sample", "{eq2}", "--obs-a", "{eq2}", "--obs-b", "z", "--trials", "5", "--seed", "1"],
      "expected an observable file, found kind 'density'"),
+    ("amplitude-near-double-max", ["analyze", "{huge}"], "state vector norm must be 1, got inf"),
 ]
 
 

@@ -4,9 +4,11 @@
 ``apply_ancilla_unitary`` and ``cut_entanglement`` are the batch of one of
 ``_ancilla_trials`` and ``_cut_reports``, the kernel that
 ``verify_purification_entanglement`` runs on all trials of a state at once,
-the identity ``np.eye(dc, r)`` first.  Each row of a stack must be bit for
-bit what the per-state functions give, and bad input must be rejected with
-the messages the library has always given.
+the identity ``np.eye(dc, r)`` first.  The kernel takes a base as its
+``(n, r)`` system x support amplitude matrix and the original density
+matrix.  Each row of a stack must be bit for bit what the per-state
+functions give, and bad input must be rejected with the messages the
+library has always given.
 """
 
 import json
@@ -89,13 +91,25 @@ def _with_identity(us):
     return np.concatenate([np.eye(*us.shape[1:])[None], us])
 
 
+def _support(p, r):
+    """The ``(n, r)`` system x support amplitudes of a purification."""
+    return p.state.split(p.system_positions)[:, :r]
+
+
+def _trials(p, us):
+    """``_ancilla_trials`` of a purification whose system factors lead its
+    layout, each trial as one row in that layout."""
+    amps = _ancilla_trials(_support(p, us.shape[-1]), p.original.matrix, us)
+    return amps.reshape(len(us), -1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rho=states, seeds=seed_lists)
 def test_stacked_trials_equal_the_batch_of_one(rho, seeds):
     """Rank-deficient, full-rank and product states on square and non-square dims."""
     base, support = _base(rho)
     us = _with_identity(_isometries(seeds, base.ancilla_dim, support))
-    amps = _ancilla_trials(base, us)
+    amps = _trials(base, us)
     cut = [i for i, lab in enumerate(base.state.labels) if lab in CUT]
     stacked = _cut_reports(amps, base.state.factor_dims, cut)
     assert [len(x) for x in stacked] == [len(seeds) + 1] * 3
@@ -187,26 +201,24 @@ def test_stack_names_its_first_non_isometry(bad):
     us[bad] *= 2
     message = f"stack index {bad}: matrix is not unitary: columns miss orthonormality"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        _ancilla_trials(_padded_source(), us)
+        _trials(_padded_source(), us)
 
 
 def test_stack_names_its_first_non_finite_isometry():
     us = _isometries([1, 2, 3], 4, 2)
     us[1] = np.nan
     with pytest.raises(ValueError, match=r"^stack index 1: amplitudes must be finite$"):
-        _ancilla_trials(_padded_source(), us)
+        _trials(_padded_source(), us)
 
 
 def test_stack_checks_the_norm_of_every_trial():
     base = _padded_source()
-    amps = 2 * base.state.amplitudes
-    doubled = _trusted(PureState, amplitudes=amps, layout=base.state.layout)
-    p = _trusted(Purification, state=doubled, original=base.original)
+    doubled = 2 * _support(base, 2)
     message = "stack index 0: state vector norm must be 1, got 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _ancilla_trials(p, _with_identity(_isometries([1, 2], 4, 2)))
+        _ancilla_trials(doubled, base.original.matrix, _with_identity(_isometries([1, 2], 4, 2)))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _ancilla_trials(p, _isometries([1, 2], 4, 2))
+        _ancilla_trials(doubled, base.original.matrix, _isometries([1, 2], 4, 2))
 
 
 def test_stack_checks_the_recovery_of_every_trial():
@@ -215,46 +227,62 @@ def test_stack_checks_the_recovery_of_every_trial():
     p = _trusted(Purification, state=base.state, original=other)
     message = "stack index 0: tracing out the ancillas misses the original state by"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        _ancilla_trials(p, _isometries([1, 2], 4, 2))
+        _trials(p, _isometries([1, 2], 4, 2))
     # the identity row is checked like any other
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        _ancilla_trials(p, _with_identity(_isometries([1, 2], 4, 2)))
+        _trials(p, _with_identity(_isometries([1, 2], 4, 2)))
     with pytest.raises(ValueError, match="^tracing out the ancillas misses"):
         apply_ancilla_unitary(p, random_unitary(4, 1))
 
 
 def test_cut_checks_the_schmidt_sum_of_every_trial():
-    # a norm within NORM_TOL of 1 can still miss the Schmidt-sum check
+    # the sum is judged by the norm's rule: a norm within NORM_TOL of 1 cuts,
+    # and a row just beyond it is refused
     base = _padded_source()
-    long = base.state.amplitudes * (1 + 9e-10)
-    message = "^squared Schmidt coefficients sum to 1.0000000018$"
+    long = PureState(base.state.amplitudes * (1 + 9e-10), base.state.layout)
+    assert cut_entanglement(long, CUT).schmidt_rank == 2
+    too_long = base.state.amplitudes * (1 + 1.1e-9)
+    message = "^squared Schmidt coefficients sum to 1.0000000022$"
     with pytest.raises(ValueError, match=message):
-        amps = np.stack([base.state.amplitudes, long])
+        amps = np.stack([base.state.amplitudes, too_long])
         _cut_reports(amps, base.state.factor_dims, [0, 2])
-    with pytest.raises(ValueError, match=message):
-        cut_entanglement(PureState(long, base.state.layout), CUT)
 
 
 def test_stack_rejects_amplitude_outside_the_support():
+    # only the batch of one checks the support, in any layout: here the
+    # system factors do not lead, so the result is reordered into it
+    base = _padded_source()
+    order = (0, 2, 1, 3)  # (A, C1, B, C2)
+    layout = tuple(base.state.layout[i] for i in order)
+    amps = base.state.amplitudes.reshape(2, 2, 2, 2).transpose(order).reshape(-1)
+    p = Purification(PureState(amps, layout), base.original)
     with pytest.raises(ValueError, match="^amplitude outside the first 1 ancilla"):
-        _ancilla_trials(_padded_source(), _with_identity(_isometries([1, 2], 4, 1)))
+        apply_ancilla_unitary(p, _isometries([1, 2], 4, 1)[1])
+    u = random_isometry(4, 2, 7)
+    rotated = apply_ancilla_unitary(base, u).state.amplitudes.reshape(2, 2, 2, 2)
+    expected = rotated.transpose(order).reshape(-1)
+    assert apply_ancilla_unitary(p, u).state.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_identity_alone():
     base = _padded_source()
-    amps = _ancilla_trials(base, _with_identity(_isometries([], 4, 2)))
+    amps = _trials(base, _with_identity(_isometries([], 4, 2)))
     assert amps.tobytes() == base.state.amplitudes.tobytes()
 
 
 def test_identity_keeps_the_sign_of_a_zero():
-    # a product through np.eye would turn these -0.0 parts into +0.0
+    # a product through np.eye would turn these -0.0 parts into +0.0; the
+    # identity row is the base, padded with exact zeros
     base = _padded_source()
-    flipped = base.state.amplitudes.copy()
-    flipped.real[flipped.real == 0] = -0.0
-    flipped.imag[flipped.imag == 0] = -0.0
+    support = _support(base, 2).copy()
+    support.real[support.real == 0] = -0.0
+    support.imag[support.imag == 0] = -0.0
+    flipped = np.zeros((4, 4), dtype=complex)
+    flipped[:, :2] = support
+    flipped = flipped.reshape(-1)
     psi = _trusted(PureState, amplitudes=flipped, layout=base.state.layout)
-    p = _trusted(Purification, state=psi, original=base.original)
-    amps = _ancilla_trials(p, _with_identity(_isometries([1], 4, 2)))
+    amps = _ancilla_trials(support, base.original.matrix, _with_identity(_isometries([1], 4, 2)))
+    amps = amps.reshape(2, -1)
     assert amps[0].tobytes() == flipped.tobytes()
     stacked = _cut_reports(amps, psi.factor_dims, [0, 2])
     _assert_same_report(*(x[0] for x in stacked), cut_entanglement(psi, CUT))

@@ -1,10 +1,13 @@
 """Tests for the state file format: grammar, validation, exact round trips."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from purecorr.correlation import Observable
 from purecorr.linalg import DimPair
@@ -615,3 +618,53 @@ class TestHelpers:
             [[1.0, 2.0], [0.0, 0.0]],
             [[0.0, 0.0], [0.0, -1.0]],
         ]
+
+
+# Bytes that a mutation writes: the grammar's own, digits, exponents and
+# names that a number or a label can take.
+_MUTATION_BYTES = st.sampled_from(list(b"0123456789eE+-.,:[] \n\tjCinfa_\"#"))
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(0, 2**16), _MUTATION_BYTES),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _mutated_goldens(draw):
+    """A golden state file with a few bytes replaced, inserted or deleted."""
+    data = bytearray((GOLDEN / draw(st.sampled_from(sorted(GOLDEN.glob("*.state"))))
+                      .name).read_bytes())
+    for op, pos, byte in draw(_EDITS):
+        pos %= len(data) + (op == "insert")
+        if op == "replace" and data:
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        elif op == "delete" and data:
+            del data[pos]
+    return data.decode("latin-1")
+
+
+def _value_or_none(read, *args):
+    """``read(*args)``, or None when it raises StateFileError."""
+    try:
+        return read(*args)
+    except StateFileError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_mutated_goldens())
+@example(text="version: 1\nkind: pure\ndims: [2]\nvector: [[1e308, 0.0], [0.0, 0.0]]\n")
+def test_a_mutated_file_parses_or_raises_state_file_error(text):
+    """Every reader returns a value or raises StateFileError, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _value_or_none(parse_state_file, text)
+        _value_or_none(parse_observable_file, text)
+        content = _value_or_none(parse_content, text)
+        if content is not None:
+            _value_or_none(content_to_bipartite, content)
+            if {"C1", "C2"} <= set(content.labels):
+                _value_or_none(content_to_bipartite, content, "C1,C2")

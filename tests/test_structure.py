@@ -190,6 +190,7 @@ def test_purification_campaign_takes_no_partial_trace(monkeypatch):
 
 
 def test_purification_campaign_checks_each_base_once(monkeypatch):
+    """The bases are amplitude matrices, checked as row 0 of their stacks."""
     checked = []
     original = purification.Purification.__post_init__
 
@@ -199,9 +200,19 @@ def test_purification_campaign_checks_each_base_once(monkeypatch):
 
     monkeypatch.setattr(purification.Purification, "__post_init__", counting)
     assert entanglement_campaign(DimPair(2, 3), 2, 5).passed
-    # the Ginibre state's spectral purification, then the product state's
-    # factored one; zero-padding the first is not checked again
-    assert checked == [("AB", "C"), ("A", "B", "C1", "C2")]
+    assert checked == []
+
+    spectrum = purification._clipped_spectrum
+
+    def swapped(matrix):
+        # a norm-preserving corruption: the first two system rows trade places
+        lam, columns = spectrum(matrix)
+        return lam, columns[[1, 0, *range(2, len(columns))]]
+
+    monkeypatch.setattr(purification, "_clipped_spectrum", swapped)
+    message = "stack index 0: tracing out the ancillas misses the original state by"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        entanglement_campaign(DimPair(2, 3), 2, 5)
 
 
 @pytest.fixture
