@@ -162,7 +162,7 @@ class _Correlations(NamedTuple):
 
 
 def _correlations(matrices: np.ndarray, dims: DimPair) -> _Correlations:
-    """Correlation operators of a ``(T, n, n)`` stack of validated states."""
+    """Correlation operators of a ``(T, n, n)`` stack of density matrices."""
     da, db = dims
     t = matrices.reshape(-1, da, db, da, db)
     # the same reductions as partial_trace, bit for bit, state by state
@@ -202,7 +202,7 @@ class _Witnesses(NamedTuple):
 
 
 def _witnesses(matrices: np.ndarray, dims: DimPair) -> _Witnesses:
-    """The stacked analysis: witnesses of a ``(T, n, n)`` stack of validated states.
+    """The stacked analysis: witnesses of a ``(T, n, n)`` stack of density matrices.
 
     One pass: marginals, Delta and ||Delta||_F, the ``(T, da^2, db^2)``
     coefficient matrices and one stacked SVD; then only the top tie

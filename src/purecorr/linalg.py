@@ -80,19 +80,17 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
-def _as_matrix(m, stacked: bool = False) -> np.ndarray:
-    """A 2-D float64 or complex128 array, or with ``stacked`` a 3-D stack of
-    them; real input stays real."""
+def _as_matrix(m) -> np.ndarray:
+    """A 2-D float64 or complex128 array; real input stays real."""
     a = np.asarray(m)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    if a.ndim != 2 + stacked:
-        what = "a stack of matrices" if stacked else "a matrix"
-        raise ValueError(f"expected {what}, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
     return a
 
 
-def _as_square(m, stacked: bool = False) -> np.ndarray:
-    a = _as_matrix(m, stacked)
+def _as_square(m) -> np.ndarray:
+    a = _as_matrix(m)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -119,7 +117,7 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=(-2, -1)))
 
 
-def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Return the matrix made exactly Hermitian, or raise if it is not Hermitian.
 
     The library's one Hermiticity decision.  Exact input comes back bit for
@@ -129,30 +127,24 @@ def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndar
     ||m||_F)``.  Entries above 1 are first divided by the largest magnitude,
     so that neither norm overflows near the top of the float range.
     Non-finite entries are rejected, with ``name`` naming the values in that
-    message.  With ``stacked``, ``m`` is a ``(T, n, n)`` stack, each matrix
-    is judged alone, and a message names the index of the first one that
-    fails.
+    message.
     """
-    a = _as_square(m, stacked)
-    peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    finite = np.isfinite(peak)
-    if not finite.all():
-        raise ValueError(f"{_first_failure(~finite)[1]}{name} entries must be finite")
-    adj = a.conj().swapaxes(-1, -2)
+    a = _as_square(m)
+    peak = np.abs(a).max(initial=0.0)
+    if not np.isfinite(peak):
+        raise ValueError(f"{name} entries must be finite")
+    adj = a.conj().T
     exact = a == adj
     if exact.all():
         return a
-    scale = np.maximum(peak, 1.0)
-    unit = a / scale[..., None, None]
-    defect = _frobenius(unit - unit.conj().swapaxes(-1, -2))
+    scale = max(peak, 1.0)
+    unit = a / scale
+    defect = _frobenius(unit - unit.conj().T)
     # A scaled matrix has an entry of modulus 1, so max(1, norm) here is
     # max(1, ||m||_F) in the units of m.
-    failed = _first_failure(defect > HERMITIAN_TOL * np.maximum(_frobenius(unit), 1.0))
-    if failed:
-        k, where = failed
-        worst = float(defect.reshape(-1)[k]) * float(scale.reshape(-1)[k])
+    if defect > HERMITIAN_TOL * max(_frobenius(unit), 1.0):
         raise ValueError(
-            f"{where}matrix is not Hermitian: defect {worst:.3e} exceeds "
+            f"matrix is not Hermitian: defect {float(defect) * scale:.3e} exceeds "
             f"{HERMITIAN_TOL:.1e} * max(1, norm)"
         )
     # halved first, so that no sum overflows near the top of the float range

@@ -90,7 +90,7 @@ class Purification:
         if not system or len(system) == len(self.state.layout):
             raise ValueError("purification needs system and ancilla factors")
         m = self.state.split(system)
-        _ancilla_trials(m, self.original.matrix, np.eye(m.shape[1])[None], stacked=False)
+        _ancilla_trials(m, self.original.matrix, np.eye(m.shape[1]))
 
     @property
     def system_positions(self) -> list[int]:
@@ -140,7 +140,8 @@ def purify(state: BipartiteState | DensityMatrix) -> Purification:
     lam, amps = _clipped_spectrum(state.matrix)
     amps = amps[:, lam > 0.0]
     layout = (("AB", amps.shape[0]), ("C", amps.shape[1]))
-    return Purification(PureState(amps, layout), state)
+    psi = _trusted(PureState, amplitudes=amps.reshape(-1), layout=layout)
+    return Purification(psi, state)
 
 
 def factored_purification(
@@ -158,7 +159,8 @@ def factored_purification(
     layout = (("A", da), ("B", db), ("C1", da), ("C2", db))
     kron = _trusted(DensityMatrix, matrix=tensor_product(rho_a.matrix, rho_b.matrix))
     product = BipartiteState(kron, DimPair(da, db))
-    return Purification(PureState(amps, layout), product)
+    psi = _trusted(PureState, amplitudes=amps.reshape(-1), layout=layout)
+    return Purification(psi, product)
 
 
 def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purification:
@@ -187,63 +189,49 @@ def embed_ancilla(p: Purification, ancilla_dims: tuple[int, int]) -> Purificatio
     return _trusted(Purification, state=state, original=p.original)
 
 
-def _ancilla_trials(
-    base: np.ndarray, original: np.ndarray, us: np.ndarray, stacked: bool = True
-) -> np.ndarray:
-    """``(T, n, dc)`` system x ancilla amplitudes: an ``(n, r)`` base under
-    each isometry of a ``(T, dc, r)`` stack.
+def _ancilla_trials(base: np.ndarray, original: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``(n, dc)`` system x ancilla amplitudes of an ``(n, r)`` base under a
+    ``(dc, r)`` isometry, or the ``(T, n, dc)`` stack of them under each
+    isometry of a ``(T, dc, r)`` stack.
 
     Trial ``t`` is ``base @ us[t].T``; ``np.eye(dc, r)`` gives the base
-    zero-padded, bit for bit.  Each check runs once on the whole stack: the
-    isometries' columns are orthonormal, and every result is a finite unit
-    vector whose ancilla trace-out recovers the ``original`` matrix, so an
-    identity row 0 checks the base.  With ``stacked``, a message names the
-    index in ``us`` of the first failure; without it, ``us`` holds one
-    isometry and the messages are those of a single one.
+    zero-padded, bit for bit.  Each check runs once on the whole stack:
+    every result is a finite unit vector whose ancilla trace-out recovers
+    the ``original`` matrix, that is, a purification of it; an identity
+    row 0 checks the base.  That also refuses an isometry whose columns
+    are not orthonormal on the base's support.  A stack's messages name
+    the index in ``us`` of the first failure; a single isometry's have no
+    prefix.
     """
-
-    def failure(bad: np.ndarray):
-        return _first_failure(bad if stacked else bad[0])
-
-    dc, r = us.shape[1:]
-    gram = us.conj().swapaxes(-1, -2) @ us
-    gram -= np.eye(r)
-    defect = _frobenius(gram)
-    failed = failure(defect > UNITARY_TOL * math.sqrt(r))
-    if failed:
-        k, where = failed
-        raise ValueError(
-            f"{where}matrix is not unitary: columns miss orthonormality by "
-            f"{float(defect[k]):.3e}"
-        )
-
+    dc, r = us.shape[-2:]
     trials = base @ us.swapaxes(-1, -2)  # row s becomes U @ psi[s, :]
     # a product can flip a zero's sign, and so the cut SVD: an eye row is the
     # base, padded with exact zeros
     eye = (us == np.eye(dc, r)).all((-2, -1))
     trials[eye] = 0.0
-    trials[eye, :, :r] = base
+    trials[eye, ..., :r] = base
 
     # the system's reduced states, as PureState.reduced computes them; their
     # traces are the squared norms of the vectors
     rho = trials @ trials.conj().swapaxes(-1, -2)
     squares = rho.diagonal(0, -2, -1).sum(-1).real
     norms = np.sqrt(squares)
-    failed = failure(~np.isfinite(norms))
+    failed = _first_failure(~np.isfinite(norms))
     if failed:
         raise ValueError(f"{failed[1]}amplitudes must be finite")
-    failed = failure(np.abs(norms - 1.0) > NORM_TOL)
+    failed = _first_failure(np.abs(norms - 1.0) > NORM_TOL)
     if failed:
         k, where = failed
-        raise ValueError(f"{where}state vector norm must be 1, got {norms[k]:.12g}")
-    rho /= squares[:, None, None]
+        norm = norms.reshape(-1)[k]
+        raise ValueError(f"{where}state vector norm must be 1, got {norm:.12g}")
+    rho /= squares[..., None, None]
     defect = _frobenius(rho - original / original.trace().real)
-    failed = failure(defect > RECOVERY_TOL)
+    failed = _first_failure(defect > RECOVERY_TOL)
     if failed:
         k, where = failed
         raise ValueError(
             f"{where}tracing out the ancillas misses the original state by "
-            f"{float(defect[k]):.3e} (Frobenius)"
+            f"{float(defect.reshape(-1)[k]):.3e} (Frobenius)"
         )
     return trials
 
@@ -255,9 +243,10 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
     the first ``r`` ancilla basis states into the whole ancilla; ``r = dc``
     is I (x) U.  Every amplitude must lie in those first ``r`` columns (a
     zero-padded purification, see :func:`embed_ancilla`), else this raises
-    rather than drop it.  The result purifies the same original state;
-    that contract is re-checked.  The batch of one of the trial kernel of
-    :func:`verify_purification_entanglement`, plus the support check and
+    rather than drop it, and the columns of ``u`` must be orthonormal.  The
+    result purifies the same original state; that contract is re-checked.
+    The batch of one of the trial kernel of
+    :func:`verify_purification_entanglement`, plus the checks of ``u`` and
     the reordering into p's layout that only this caller needs.
     """
     dc = p.ancilla_dim
@@ -274,7 +263,14 @@ def apply_ancilla_unitary(p: Purification, u) -> Purification:
             f"amplitude outside the first {r} ancilla basis states, "
             f"which a {dc}x{r} isometry does not act on"
         )
-    (trial,) = _ancilla_trials(m[:, :r], p.original.matrix, u[None], stacked=False)
+    gram = u.conj().T @ u
+    gram -= np.eye(r)
+    defect = _frobenius(gram)
+    if defect > UNITARY_TOL * math.sqrt(r):
+        raise ValueError(
+            f"matrix is not unitary: columns miss orthonormality by {float(defect):.3e}"
+        )
+    trial = _ancilla_trials(m[:, :r], p.original.matrix, u)
     dims = p.state.factor_dims
     perm = system + [i for i in range(len(dims)) if i not in system]
     amps = trial.reshape([dims[i] for i in perm]).transpose(np.argsort(perm))
@@ -295,10 +291,6 @@ def _cut_reports(
     m = _split(amps, dims, rows)
     s = np.linalg.svd(m, compute_uv=False)
     lam = s * s
-    sums = lam.sum(-1)
-    failed = _first_failure(np.abs(np.sqrt(sums) - 1.0) > NORM_TOL)
-    if failed:
-        raise ValueError(f"squared Schmidt coefficients sum to {sums[failed[0]]:.12g}")
     # A squared coefficient within rounding of 1 or of 0 carries no
     # entropy, only noise: the singular values are accurate to about
     # max(shape) * eps, so only those measurably above 0 whose squares sit
@@ -420,9 +412,10 @@ def verify_purification_entanglement(
         claim=("a factorable state has an unentangled purification" if factorable
                else "every purification of a non-factorable state is entangled"),
         ensemble=(
-            f"one {da}x{db} state ({'factorable' if factorable else 'non-factorable'}), "
-            f"identity + {trials} Haar ancilla isometries on the "
-            f"rank-{support} support"
+            f"one {da}x{db} state (factorable), identity + {trials} full Haar "
+            f"unitaries on the {da}x{db} ancilla" if factorable else
+            f"one {da}x{db} state (non-factorable), identity + {trials} Haar "
+            f"ancilla isometries on the rank-{support} support"
         ),
         seed=int(seed),
         trials=int(trials),
@@ -442,8 +435,8 @@ def entanglement_campaign(
     """Both directions of the purification claim on seeded random states.
 
     Draws one full-rank Ginibre state (non-factorable with probability one)
-    and one explicit product state on the given dimensions, validated as
-    one stack.  Each state gets the verdict of
+    and one explicit product state on the given dimensions, as one stack.
+    Each state gets the verdict of
     :func:`verify_purification_entanglement`, prefixed by its name, in one
     report.
     """

@@ -3,12 +3,13 @@
 States and observables are immutable after construction (arrays are marked
 read-only) and validation happens once, in the constructor, at the boundary
 where a value enters the library.  Values derived from validated ones
-(marginals, correlation operators, Schmidt factors) are built with
-:func:`_trusted` and are not checked again.  Every random generator is a
-seeded ``numpy.random.default_rng`` (PCG64); the generator name is recorded
-in verification reports so seeds quoted there are reproducible.  Both
+(marginals, correlation operators, Schmidt factors) and the library's own
+seeded draws, which are valid by construction, are built with
+:func:`_trusted` and are not checked.  Every random generator is a seeded
+``numpy.random.default_rng`` (PCG64); the generator name is recorded in
+verification reports so seeds quoted there are reproducible.  Both
 verification campaigns take their argument check, per-trial seeds, stack
-budget and validated draw of states from here.
+budget and draw of states from here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     DimPair,
-    _first_failure,
     partial_trace,
     require_hermitian,
     tensor_product,
@@ -64,7 +64,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _trusted(cls, **fields):
-    """An instance of ``cls`` whose fields are derived from validated values.
+    """An instance of ``cls`` whose fields are valid by construction.
 
     Skips the constructor's validation, so the caller vouches for the
     invariants; array fields are marked read-only as the constructors do.
@@ -77,32 +77,21 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _validate_densities(m: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """``m`` made exactly Hermitian, or ValueError unless it is a density matrix.
-
-    With ``stacked``, ``m`` is a ``(T, n, n)`` stack and every matrix must
-    be one.  Each check (square, finite and Hermitian, unit trace,
-    positive semidefinite) runs once on the whole stack, the last as one
-    stacked ``eigvalsh``; a stack's message names the index of the first
-    state that fails.  A single complex128 matrix is the batch of one,
-    as :class:`DensityMatrix` validates it.
-    """
-    if m.ndim != 2 + stacked or m.shape[-2] != m.shape[-1]:
+def _validate_densities(m: np.ndarray) -> np.ndarray:
+    """A complex128 matrix made exactly Hermitian, or ValueError unless it is
+    a density matrix: square, finite and Hermitian, unit trace, positive
+    semidefinite.  :class:`DensityMatrix`'s validation."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    m = require_hermitian(m, "density matrix", stacked)
-    trace = m.diagonal(0, -2, -1).sum(-1)
-    failed = _first_failure(np.abs(trace - 1.0) > TRACE_TOL)
-    if failed:
-        k, where = failed
-        tr = complex(trace.reshape(-1)[k])
-        raise ValueError(f"{where}density matrix trace must be 1, got {tr:.12g}")
-    smallest = np.linalg.eigvalsh(m)[..., 0]
-    failed = _first_failure(smallest < -PSD_TOL)
-    if failed:
-        k, where = failed
+    m = require_hermitian(m, "density matrix")
+    trace = complex(m.trace())
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace must be 1, got {trace:.12g}")
+    smallest = float(np.linalg.eigvalsh(m)[0])
+    if smallest < -PSD_TOL:
         raise ValueError(
-            f"{where}density matrix is not positive semidefinite: "
-            f"smallest eigenvalue {float(smallest.reshape(-1)[k]):.3e}"
+            "density matrix is not positive semidefinite: "
+            f"smallest eigenvalue {smallest:.3e}"
         )
     return m
 
@@ -279,7 +268,8 @@ def random_pure(d: int, seed) -> PureState:
         raise ValueError(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(v / np.linalg.norm(v), (("A", int(d)),))
+    amps = v / np.linalg.norm(v)
+    return _trusted(PureState, amplitudes=amps, layout=(("A", int(d)),))
 
 
 def _normals(seeds: Sequence, shape: tuple[int, ...]) -> np.ndarray:
@@ -303,7 +293,11 @@ def _complex(x: np.ndarray) -> np.ndarray:
 
 
 def _ginibre(x: np.ndarray) -> np.ndarray:
-    """``G G^dagger / Tr`` for each ``G = x[t, 0] + i x[t, 1]`` of a ``(T, 2, n, r)`` stack."""
+    """``G G^dagger / Tr`` for each ``G = x[t, 0] + i x[t, 1]`` of a ``(T, 2, n, r)`` stack.
+
+    Valid by construction: the closing ``(m + m^dagger) / 2`` is exactly
+    Hermitian, and so is a Kronecker product of such factors.
+    """
     g = _complex(x)
     m = g @ g.conj().swapaxes(-1, -2)
     m /= m.diagonal(0, -2, -1).sum(-1).real[:, None, None]
@@ -311,12 +305,12 @@ def _ginibre(x: np.ndarray) -> np.ndarray:
 
 
 def _ginibre_densities(seeds: Sequence, dims: DimPair, rank: int) -> np.ndarray:
-    """``(len(seeds), n, n)`` unvalidated rank-``rank`` Ginibre states, one per seed."""
+    """``(len(seeds), n, n)`` rank-``rank`` Ginibre states, one per seed."""
     return _ginibre(_normals(seeds, (2, dims.total, rank)))
 
 
 def _product_densities(seeds: Sequence, dims: DimPair) -> np.ndarray:
-    """``(len(seeds), n, n)`` unvalidated products of full-rank Ginibre factors.
+    """``(len(seeds), n, n)`` products of full-rank Ginibre factors.
 
     Each seed's one draw holds A's real and imaginary parts, then B's.
     """
@@ -333,13 +327,15 @@ def random_density(dims: DimPair | Sequence[int], rank: int, seed) -> BipartiteS
     rank = int(rank)
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank must be in [1, {dims.total}], got {rank}")
-    return BipartiteState(DensityMatrix(_ginibre_densities([seed], dims, rank)[0]), dims)
+    rho = _trusted(DensityMatrix, matrix=_ginibre_densities([seed], dims, rank)[0])
+    return BipartiteState(rho, dims)
 
 
 def random_product_state(dims: DimPair | Sequence[int], seed) -> BipartiteState:
     """Exactly factorable random state: independent full-rank factors."""
     dims = DimPair(*dims)
-    return BipartiteState(DensityMatrix(_product_densities([seed], dims)[0]), dims)
+    rho = _trusted(DensityMatrix, matrix=_product_densities([seed], dims)[0])
+    return BipartiteState(rho, dims)
 
 
 def _campaign_dims(dims: DimPair | Sequence[int], trials: int) -> DimPair:
@@ -366,11 +362,10 @@ def _chunks(count: int, item_bytes: int) -> list[range]:
 def _campaign_states(
     ginibre_seeds: Sequence, product_seeds: Sequence, dims: DimPair
 ) -> np.ndarray:
-    """One validated stack: ``random_density(dims, dims.total, s)`` of each Ginibre
-    seed, then ``random_product_state(dims, s)`` of each product seed, bit for bit."""
-    rhos = np.concatenate([_ginibre_densities(ginibre_seeds, dims, dims.total),
+    """One stack: ``random_density(dims, dims.total, s)`` of each Ginibre seed,
+    then ``random_product_state(dims, s)`` of each product seed, bit for bit."""
+    return np.concatenate([_ginibre_densities(ginibre_seeds, dims, dims.total),
                            _product_densities(product_seeds, dims)])
-    return _validate_densities(rhos, stacked=True)
 
 
 def _isometries(seeds: Sequence, d: int, r: int) -> np.ndarray:

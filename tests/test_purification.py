@@ -392,6 +392,20 @@ class TestVerifyPurificationEntanglement:
         with pytest.raises(ValueError, match="trials"):
             verify_purification_entanglement(example_source_state(), 0, 1)
 
+    def test_rank_deficient_factorable_ensemble_names_full_unitaries(self):
+        # rank 3 of 6: the factored base has zero columns, and its trials are
+        # full Haar unitaries on the da x db ancilla, not rank-wide isometries
+        rho = BipartiteState(
+            DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.3, 0.2]))),
+            DimPair(2, 3),
+        )
+        report = verify_purification_entanglement(rho, 3, 1)
+        assert report.passed
+        assert report.ensemble == (
+            "one 2x3 state (factorable), identity + 3 full Haar unitaries on "
+            "the 2x3 ancilla"
+        )
+
 
 class TestEntanglementCampaign:
     def test_passes_and_is_deterministic(self):

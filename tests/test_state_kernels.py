@@ -1,10 +1,11 @@
-"""The stacked state generators and density validator, and their batch of one.
+"""The stacked state generators, their batch of one, and the density validator.
 
 ``random_density`` and ``random_product_state`` are the batch of one of
 ``_ginibre_densities`` and ``_product_densities``, and ``DensityMatrix``
-validates through ``_validate_densities`` as its batch of one.  The stacks
-must give each seed's state bit for bit, and a single matrix must be
-rejected with the messages the library has always given.
+validates through ``_validate_densities``.  The stacks must give each
+seed's state bit for bit, and a bad matrix must be rejected with the
+messages the library has always given.  The seeded draws are not
+validated when drawn; the tests here show that they are valid as drawn.
 """
 
 import re
@@ -20,11 +21,13 @@ from purecorr.linalg import DimPair, require_hermitian
 from purecorr.states import (
     DensityMatrix,
     Observable,
+    PureState,
     _ginibre_densities,
     _product_densities,
     _validate_densities,
     random_density,
     random_product_state,
+    random_pure,
 )
 
 dim_pairs = st.builds(DimPair, st.integers(1, 4), st.integers(1, 4))
@@ -48,6 +51,26 @@ def test_stacked_products_equal_random_product_state(dims, seeds):
     assert stack.shape == (len(seeds), dims.total, dims.total)
     for seed, rho in zip(seeds, stack):
         assert rho.tobytes() == random_product_state(dims, seed).matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dims=st.builds(DimPair, st.integers(1, 5), st.integers(1, 5)), seeds=seed_lists)
+def test_seeded_draws_are_valid_as_drawn(dims, seeds):
+    """Every Ginibre draw of every rank and every product draw passes the
+    validator unchanged, and each generator's state is, bit for bit, the
+    one its validating constructor builds."""
+    stacks = [_ginibre_densities(seeds, dims, rank) for rank in range(1, dims.total + 1)]
+    for m in np.concatenate([*stacks, _product_densities(seeds, dims)]):
+        assert _validate_densities(m).tobytes() == m.tobytes()
+    for seed in seeds:
+        for rank in range(1, dims.total + 1):
+            rho = random_density(dims, rank, seed).matrix
+            assert DensityMatrix(rho).matrix.tobytes() == rho.tobytes()
+        rho = random_product_state(dims, seed).matrix
+        assert DensityMatrix(rho).matrix.tobytes() == rho.tobytes()
+        psi = random_pure(dims.total, seed)
+        assert PureState(psi.amplitudes, psi.layout).amplitudes.tobytes() == \
+            psi.amplitudes.tobytes()
 
 
 def test_empty_stacks():
@@ -124,28 +147,6 @@ def test_density_matrix_rejects_a_stack():
         DensityMatrix(np.eye(2)[None] / 2)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3, 3, 3), (2, 3, 4)])
-def test_stacked_validator_rejects_other_shapes(shape):
-    with pytest.raises(ValueError, match="must be square"):
-        _validate_densities(np.zeros(shape, dtype=np.complex128), stacked=True)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(sorted(set(FAILURES) - {"non-square"})),
-    size=st.integers(1, 6),
-    data=st.data(),
-)
-def test_stack_names_the_bad_state(kind, size, data):
-    k = data.draw(st.integers(0, size - 1), label="k")
-    stack = _ginibre_densities(range(size), DimPair(1, 2), 2)
-    _validate_densities(stack, stacked=True)
-    bad, message = FAILURES[kind]
-    stack[k] = bad
-    with pytest.raises(ValueError, match=f"^{re.escape(f'stack index {k}: {message}')}$"):
-        _validate_densities(stack, stacked=True)
-
-
 def test_stack_judges_each_matrix_at_its_own_scale():
     big = np.eye(3) * 1e6
     big[0, 1] = 1e-4  # tiny against its own norm
@@ -153,10 +154,10 @@ def test_stack_judges_each_matrix_at_its_own_scale():
     small[0, 1] = 1e-6  # too large against a norm of about 1
     wide = np.full((40, 40), 0.5)
     wide[0, 1] += 1e-8  # above HERMITIAN_TOL, but within it times the norm of 20
-    require_hermitian(np.stack([big, big]), stacked=True)
+    require_hermitian(big)
     require_hermitian(wide)
-    with pytest.raises(ValueError, match=r"^stack index 1: matrix is not Hermitian"):
-        require_hermitian(np.stack([big, small]), stacked=True)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
+        require_hermitian(small)
 
 
 def test_observable_keeps_its_messages():

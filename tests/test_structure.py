@@ -58,6 +58,34 @@ def test_no_function_local_package_imports(name):
     assert local == [], f"{name} imports purecorr modules inside functions"
 
 
+def test_no_function_takes_a_stacked_flag():
+    """A kernel's stack and its batch of one differ only in the array's rank."""
+    flagged = [
+        (path.stem, fn.name)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for fn in ast.walk(_parse(path.stem))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(fn.args)
+        if isinstance(arg, ast.arg) and arg.arg == "stacked"
+    ]
+    assert flagged == []
+
+
+REPO = PACKAGE_DIR.parent.parent
+PY310_SOURCES = sorted(
+    str(path.relative_to(REPO))
+    for tree in ("src/purecorr", "tests", "bench")
+    for path in (REPO / tree).rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("name", PY310_SOURCES)
+def test_parses_as_python_3_10(name):
+    """The oldest Python that pyproject.toml allows can parse every file."""
+    path = REPO / name
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
 def test_no_module_level_scipy_import(name):
     """No module imports scipy, at module level or inside a function."""
@@ -217,27 +245,26 @@ def test_purification_campaign_checks_each_base_once(monkeypatch):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Record each state that passes density validation during a test.
+    """Record each matrix that density validation sees during a test.
 
-    Every density is validated by ``states._validate_densities``, a single
-    matrix (``DensityMatrix``) as a batch of one and a campaign's states as
-    one stack; ``states`` is the one module that binds the validator.
+    Every ``DensityMatrix`` is validated by ``states._validate_densities``;
+    ``states`` is the one module that binds the validator.
     """
     calls = []
     original = states._validate_densities
 
-    def counting(m, stacked=False):
-        calls.extend(m if stacked else [m])
-        return original(m, stacked)
+    def counting(m):
+        calls.append(m)
+        return original(m)
 
     monkeypatch.setattr(states, "_validate_densities", counting)
     return calls
 
 
 def test_witness_campaign_validates_each_state_once(validations):
-    trials = 3
-    verify_witness_criterion(DimPair(2, 3), trials, 5)
-    assert len(validations) == 2 * trials
+    """The campaign's seeded draws are valid by construction: none is validated."""
+    verify_witness_criterion(DimPair(2, 3), 3, 5)
+    assert validations == []
 
 
 def test_witness_campaign_makes_one_svd_call(monkeypatch):
@@ -255,6 +282,7 @@ def test_witness_campaign_makes_one_svd_call(monkeypatch):
 
 
 def test_witness_campaign_draws_each_state_once_and_makes_one_eigvalsh_call(monkeypatch):
+    """Each state is drawn once, and no eigvalsh judges a draw."""
     rngs, eigvalsh_shapes = [], []
     default_rng, eigvalsh = np.random.default_rng, np.linalg.eigvalsh
 
@@ -271,23 +299,32 @@ def test_witness_campaign_draws_each_state_once_and_makes_one_eigvalsh_call(monk
     trials = 4
     verify_witness_criterion(DimPair(2, 3), trials, 5)
     assert len(rngs) == 2 * trials
-    assert eigvalsh_shapes == [(2 * trials, 6, 6)]
+    assert eigvalsh_shapes == []
 
 
 def test_purification_campaign_validates_its_two_states_as_one_stack(
     monkeypatch, validations
 ):
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    """Both states are drawn once, and neither draw is validated."""
+    rngs, shapes = [], []
+    default_rng, eigvalsh = np.random.default_rng, np.linalg.eigvalsh
+
+    def counting_rng(*args, **kwargs):
+        rngs.append(args)
+        return default_rng(*args, **kwargs)
 
     def counting(a, *args, **kwargs):
         shapes.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    assert entanglement_campaign(DimPair(2, 3), 2, 5).passed
-    assert len(validations) == 2
-    assert shapes == [(2, 6, 6)]
+    trials = 2
+    assert entanglement_campaign(DimPair(2, 3), trials, 5).passed
+    # one generator per state and one per isometry
+    assert len(rngs) == 2 + 2 * trials
+    assert validations == []
+    assert shapes == []
 
 
 def test_witness_of_validated_state_validates_nothing(validations):
