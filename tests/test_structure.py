@@ -471,7 +471,7 @@ def test_purification_campaign_chunks_its_stack(
     assert [s[0] for s in linalg_calls["svd"]] == ginibre + product
 
 
-TRACING = PACKAGE_DIR.parent.parent / "bench" / "tracing.py"
+TRACING = REPO / "bench" / "tracing.py"
 
 
 def _traced(list_name: str) -> list[tuple[str, str]]:
